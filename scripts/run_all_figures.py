@@ -7,6 +7,11 @@ Usage:
 
 fig1 sweeps M up to 16384 and takes the longest; lower --trials for a
 quick look at the curves.
+
+The script has no thread policy of its own: each figure runs through
+``mimo_converge.cli.main``, which pins BLAS to one thread during the sweep
+and, without --workers, uses as many worker threads as the process has
+CPUs.
 """
 
 import argparse

@@ -76,10 +76,14 @@ def sample_iid(M: int, K: int, rng: RngStream) -> np.ndarray:
     """
     if M < 1 or K < 1:
         raise ValueError(f"M and K must be positive, got M={M}, K={K}")
-    g = rng.generator()
-    re = g.standard_normal((M, K))
-    im = g.standard_normal((M, K))
-    return (re + 1j * im) / np.sqrt(2.0)
+    parts = rng.generator().standard_normal((2, M, K))
+    # Multiplying by the reciprocal gives the same bits as dividing the
+    # complex matrix by sqrt(2); dividing the parts in place would not.
+    parts *= 1.0 / np.sqrt(2.0)
+    H = np.empty((M, K), dtype=np.complex128)
+    H.real = parts[0]
+    H.imag = parts[1]
+    return H
 
 
 def exp_correlation_matrix(M: int, spec: CorrelationSpec) -> np.ndarray:
@@ -146,8 +150,8 @@ def sample_channel(
     """Draw one full channel realization.
 
     With correlation disabled (None or rho = 0) the colored channel is the
-    iid draw itself, and with unit link gains the scaled channel equals the
-    colored one bit for bit.
+    iid draw itself, and with unit link gains the scaled channel is the
+    colored one.
     """
     H_iid = sample_iid(M, K, rng)
     if correlation is None or correlation.rho == 0.0:
@@ -155,4 +159,5 @@ def sample_channel(
     else:
         H = apply_correlation(correlation_sqrt(M, correlation), H_iid)
     beta = np.asarray(beta, dtype=float)
-    return ChannelSample(H_iid=H_iid, H=H, G=apply_link_gains(H, beta), beta=beta)
+    G = H if beta.shape == (K,) and (beta == 1.0).all() else apply_link_gains(H, beta)
+    return ChannelSample(H_iid=H_iid, H=H, G=G, beta=beta)

@@ -4,7 +4,10 @@ Precedence for every setting: command-line flag, then config-file value,
 then preset value, then built-in default. The seed's built-in default can
 additionally be supplied through the MIMO_CONVERGE_SEED environment
 variable. Output files are byte-identical across runs with the same
-configuration and seed, with any worker count.
+configuration and seed, with any worker count and any host BLAS thread
+count: the sweep pins the OpenBLAS bundled with numpy and scipy to one
+thread, so --workers is the only parallelism. With a BLAS that cannot be
+pinned, the bytes may depend on its thread count.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O error.
@@ -136,7 +139,7 @@ def _build_argparser() -> _Parser:
     p.add_argument("--eta", type=float, help="nominal gain-decay rate in (0,1); does not affect the gains")
     p.add_argument("--trials", type=int, help=f"trials per sweep point (default {DEFAULT_TRIALS})")
     p.add_argument("--seed", type=int, help=f"base RNG seed (default ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-    p.add_argument("--workers", type=int, help="worker threads (default: machine parallelism)")
+    p.add_argument("--workers", type=int, help="worker threads, the only parallelism: BLAS runs single-threaded (default: CPUs this process may use)")
     p.add_argument("--output", help="output file path (default results.<format>)")
     p.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
     p.add_argument("--stats", help="statistics to compute: comma list of metrics,zf,mf (default all)")
@@ -184,6 +187,14 @@ def _flag_options(args: argparse.Namespace) -> dict:
             value = _parse_stats(value)
         options[key] = value
     return options
+
+
+def _default_workers() -> int:
+    """CPUs this process may run on; the machine's count where the platform
+    reports no affinity set."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _default_seed() -> int:
@@ -266,7 +277,7 @@ def parse_config(argv=None, config_file: str | None = None) -> RunConfig:
     trials = opt.pop("trials", DEFAULT_TRIALS)
     workers = opt.pop("workers", None)
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = _default_workers()
     if workers < 1:
         raise ConfigError(f"workers must be positive, got {workers}")
     fmt = opt.pop("format", "csv")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import CorrelationSpec, RngStream, correlation_sqrt, sample_channel
 from .metrics import convergence_metrics
-from .numerics import SingularMatrixError, gram_normalized
+from .numerics import SingularMatrixError, gram_normalized, single_threaded_blas
 from .power import PowerProfile, link_gains, profile_moments
 from .precoding import SystemParams, mf_sinr_from_gram, mf_sinr_limit, zf_snr_from_gram, zf_snr_limit
 
@@ -101,7 +101,8 @@ def sweep_points(scenario: Scenario) -> list[tuple[int, int]]:
     """Validate a scenario and expand its sweep into (M, K) pairs.
 
     Raises ConfigError before any computation on an invalid or infeasible
-    configuration (including M <= K anywhere while ZF is enabled).
+    configuration: M <= K anywhere while ZF is enabled, or M < K or K = 1
+    anywhere while the convergence metrics are enabled.
     """
     s = scenario
     if s.mode not in (FIXED_K, FIXED_ALPHA):
@@ -144,6 +145,14 @@ def sweep_points(scenario: Scenario) -> list[tuple[int, int]]:
         if bad:
             raise ConfigError(
                 f"ZF needs M > K at every sweep point; offending (M, K): {bad}"
+            )
+    if s.compute_metrics:
+        # The eigenvalue ratio needs a nonsingular Gram (M >= K), and the
+        # diagonal dominance needs off-diagonal entries (K >= 2).
+        bad = [(m, k) for m, k in points if m < k or k < 2]
+        if bad:
+            raise ConfigError(
+                f"metrics need K >= 2 and M >= K at every sweep point; offending (M, K): {bad}"
             )
     return points
 
@@ -245,14 +254,15 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> SweepResult:
     """Run every sweep point of a scenario with the constant trial budget.
 
     Deterministic for a fixed (scenario, seed), with 1 or many workers.
+    The bundled BLAS runs on one thread throughout, so the workers are the
+    only parallelism and the host's BLAS thread count cannot change a bit.
     Raises ConfigError on an invalid scenario and SingularMatrixError if a
     trial stays degenerate after its one retry.
     """
     points = sweep_points(scenario)
-    return SweepResult(
-        scenario=scenario,
-        points=[_run_point(scenario, M, K, workers) for M, K in points],
-    )
+    with single_threaded_blas():
+        swept = [_run_point(scenario, M, K, workers) for M, K in points]
+    return SweepResult(scenario=scenario, points=swept)
 
 
 def compare_to_limit(result: SweepResult) -> list[LimitGap]:

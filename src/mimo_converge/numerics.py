@@ -7,6 +7,14 @@ of entry (j, i) bit for bit, and the diagonal is real.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+import threading
+from collections.abc import Callable
+from contextlib import contextmanager
+
 import numpy as np
 import scipy.linalg
 from scipy.linalg import get_lapack_funcs
@@ -16,6 +24,20 @@ from scipy.linalg import get_lapack_funcs
 # orders of magnitude above this.
 SINGULAR_RTOL = 1e-12
 
+# Thread-count getter and setter exported by the OpenBLAS each package
+# bundles: numpy's 64-bit-integer build and scipy's 32-bit-integer build.
+_BUNDLED_OPENBLAS = (
+    (np, "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    (scipy, "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+# The thread count is process-wide native state, so overlapping pins from
+# several threads share one saved state: the first entry saves and pins,
+# the last exit restores.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved: list[int] = []
+
 
 class SingularMatrixError(np.linalg.LinAlgError):
     """Matrix is numerically singular (e.g. a degenerate channel sample)."""
@@ -23,6 +45,60 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 class NotPSDError(np.linalg.LinAlgError):
     """Matrix has an eigenvalue below tolerance; no PSD square root exists."""
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """(get, set) thread-count functions of every bundled OpenBLAS found.
+
+    Looked up once per process on first use: the libraries sit in the
+    ``<package>.libs`` directory that auditwheel places next to the package.
+    """
+    controls = []
+    for package, get_name, set_name in _BUNDLED_OPENBLAS:
+        libs_dir = os.path.dirname(package.__file__) + ".libs"
+        for path in sorted(glob.glob(os.path.join(libs_dir, "*openblas*.so*"))):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            get_threads = getattr(lib, get_name, None)
+            set_threads = getattr(lib, set_name, None)
+            if get_threads is None or set_threads is None:
+                continue
+            get_threads.argtypes = []
+            get_threads.restype = ctypes.c_int
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads.restype = None
+            controls.append((get_threads, set_threads))
+    return tuple(controls)
+
+
+@contextmanager
+def single_threaded_blas():
+    """Pin every bundled OpenBLAS to one thread for the duration of the block.
+
+    Each small factorisation or product then runs in the calling thread, so
+    the worker count is the only parallelism and results do not depend on
+    the host's BLAS thread count. The previous counts are restored on exit,
+    also after an exception. Without a bundled OpenBLAS this does nothing.
+    """
+    global _pin_depth
+    with _pin_lock:
+        if _pin_depth == 0:
+            controls = _openblas_thread_controls()
+            _pin_saved[:] = [get_threads() for get_threads, _ in controls]
+            for _, set_threads in controls:
+                set_threads(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                for (_, set_threads), n in zip(_openblas_thread_controls(), _pin_saved):
+                    set_threads(n)
 
 
 def _as_matrix(A: np.ndarray, name: str = "A") -> np.ndarray:

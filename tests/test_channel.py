@@ -64,6 +64,18 @@ class TestSampleIid:
         with pytest.raises(ValueError):
             sample_iid(0, 3, RngStream(0))
 
+    @pytest.mark.parametrize(
+        "M, K, seed, stream",
+        [(1, 1, 0, 0), (1, 7, 3, 1), (9, 1, 5, 2), (100, 10, 42, 7),
+         (1000, 100, 12345, 3), (16384, 50, 1, 0)],
+    )
+    def test_bits_match_reference_formula(self, M, K, seed, stream):
+        g = RngStream(seed, stream).generator()
+        re = g.standard_normal((M, K))
+        im = g.standard_normal((M, K))
+        reference = (re + 1j * im) / np.sqrt(2.0)
+        assert sample_iid(M, K, RngStream(seed, stream)).tobytes() == reference.tobytes()
+
 
 class TestExpCorrelationMatrix:
     def test_rho_zero_is_identity(self):
@@ -162,7 +174,7 @@ class TestSampleChannel:
     def test_iid_equal_power_reduces_to_plain_draw(self):
         s = sample_channel(10, 4, np.ones(4), RngStream(5))
         assert s.H is s.H_iid
-        assert np.array_equal(s.G, s.H_iid)
+        assert s.G is s.H_iid  # unit gains skip the column scaling
 
     def test_rho_zero_same_as_no_correlation(self):
         a = sample_channel(6, 2, np.ones(2), RngStream(8), None)

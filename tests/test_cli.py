@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import pytest
 
@@ -114,6 +115,11 @@ class TestParseConfig:
                 assert (s.profile is not None) == unequal, name
                 assert s.rho_f == 1.0 and s.trials == 1000, name
             assert [s.correlation.rho for s in scenarios if s.correlation] == rhos, name
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity API")
+    def test_default_workers_is_cpu_affinity(self):
+        cfg = parse_config(["--preset", "fig4"])
+        assert cfg.workers == len(os.sched_getaffinity(0))
 
     def test_env_seed_is_lowest_priority(self, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "777")
@@ -273,6 +279,21 @@ class TestMainExitCodes:
         )
         assert code == EXIT_IO
         assert str(out) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "K, M", [("10", "5,8"), ("1", "4")], ids=["M-below-K", "single-user"]
+    )
+    def test_infeasible_metrics_sweep_is_config_error(self, K, M, tmp_path, monkeypatch, capsys):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before the configuration was rejected")
+
+        monkeypatch.setattr("mimo_converge.montecarlo.sample_channel", no_trials)
+        out = tmp_path / "r.json"
+        code = main(["--mode", "fixed-K", "--K", K, "--M", M, "--stats", "metrics",
+                     "--trials", "2", "--format", "json", "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_failure_exit(self, tmp_path, monkeypatch, capsys):
         def explode(scenario, workers=1):

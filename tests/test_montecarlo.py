@@ -49,6 +49,18 @@ class TestSweepPoints:
         with pytest.raises(ConfigError, match="M > K"):
             sweep_points(s)
 
+    def test_metrics_need_m_at_least_k(self):
+        s = Scenario(mode=FIXED_K, K=10, sweep=(5, 8), trials=1,
+                     compute_zf=False, compute_mf=False)
+        with pytest.raises(ConfigError, match=r"M >= K.*\(5, 10\), \(8, 10\)"):
+            sweep_points(s)
+
+    def test_metrics_need_two_users(self):
+        s = Scenario(mode=FIXED_K, K=1, sweep=(4,), trials=1,
+                     compute_zf=False, compute_mf=False)
+        with pytest.raises(ConfigError, match=r"K >= 2.*\(4, 1\)"):
+            sweep_points(s)
+
     def test_mode_field_exclusivity(self):
         with pytest.raises(ConfigError):
             sweep_points(Scenario(mode=FIXED_K, K=4, alpha=2.0, sweep=(8,)))

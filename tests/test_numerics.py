@@ -4,19 +4,26 @@ Ground truth: hand-derived closed forms for small matrices, and the
 eigenvalue decomposition as an independent oracle for traces and roots.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimo_converge.channel import CorrelationSpec, exp_correlation_matrix
+import mimo_converge
 from mimo_converge.numerics import (
+    _openblas_thread_controls,
     NotPSDError,
     SingularMatrixError,
     gram_normalized,
     hermitian_eigenvalues,
     inverse_trace,
     psd_sqrt,
+    single_threaded_blas,
 )
 
 
@@ -155,3 +162,50 @@ class TestInverseTrace:
     def test_near_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             inverse_trace(np.diag([1.0, 1e-14]))
+
+
+class TestSingleThreadedBlas:
+    @pytest.fixture
+    def controls(self):
+        """The bundled OpenBLAS thread controls, all set to 2 for the test."""
+        controls = _openblas_thread_controls()
+        if not controls:
+            pytest.skip("no bundled OpenBLAS found")
+        saved = [get_threads() for get_threads, _ in controls]
+        for _, set_threads in controls:
+            set_threads(2)
+        yield controls
+        for (_, set_threads), n in zip(controls, saved):
+            set_threads(n)
+
+    @staticmethod
+    def _counts(controls):
+        return [get_threads() for get_threads, _ in controls]
+
+    def test_pinned_inside_and_restored_after(self, controls):
+        with single_threaded_blas():
+            assert self._counts(controls) == [1] * len(controls)
+        assert self._counts(controls) == [2] * len(controls)
+
+    def test_restored_after_exception(self, controls):
+        with pytest.raises(RuntimeError):
+            with single_threaded_blas():
+                assert self._counts(controls) == [1] * len(controls)
+                raise RuntimeError("trial failed")
+        assert self._counts(controls) == [2] * len(controls)
+
+    def test_nested_exit_keeps_outer_pin(self, controls):
+        with single_threaded_blas():
+            with single_threaded_blas():
+                pass
+            assert self._counts(controls) == [1] * len(controls)
+        assert self._counts(controls) == [2] * len(controls)
+
+    def test_import_does_not_look_up_blas(self):
+        src = str(Path(mimo_converge.__file__).resolve().parents[1])
+        probe = (
+            f"import sys; sys.path.insert(0, {src!r}); import mimo_converge; "
+            "from mimo_converge.numerics import _openblas_thread_controls as c; "
+            "assert c.cache_info().currsize == 0"
+        )
+        subprocess.run([sys.executable, "-c", probe], check=True, timeout=60)
