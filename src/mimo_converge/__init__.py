@@ -12,7 +12,7 @@ from .montecarlo import (
     compare_to_limit,
     run_scenario,
 )
-from .numerics import NotPSDError, SingularMatrixError
+from .numerics import SingularMatrixError
 from .power import PowerProfile, limiting_moments, link_gains
 from .precoding import PrecoderResult, SystemParams, precoder_result
 from .presets import PRESETS, build_preset
@@ -25,7 +25,6 @@ __all__ = [
     "ConvergenceMetrics",
     "CorrelationSpec",
     "LimitGap",
-    "NotPSDError",
     "PRESETS",
     "PowerProfile",
     "PrecoderResult",

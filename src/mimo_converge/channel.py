@@ -8,12 +8,9 @@ for a uniform linear array, and per-user link-gain scaling of the columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-
-from .numerics import psd_sqrt
+from scipy.linalg.lapack import dtbtrs
 
 _MASK64 = (1 << 64) - 1
 
@@ -86,29 +83,31 @@ def sample_iid(M: int, K: int, rng: RngStream) -> np.ndarray:
     return H
 
 
-def exp_correlation_matrix(M: int, spec: CorrelationSpec) -> np.ndarray:
-    """M x M exponential correlation matrix of a uniform linear array.
+def color_exponential(H_iid: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
+    """Color an iid channel with the ULA correlation along its rows.
 
-    Real symmetric Toeplitz with unit diagonal; positive definite for
-    rho < 1 (rho = 0 gives the identity).
+    Runs the AR(1) recursion h_1 = w_1, h_m = r h_(m-1) + sqrt(1 - r^2) w_m
+    with r = rho**spacing down every column. That applies the Cholesky
+    factor L of R_ij = r**|i - j|, and since L = R^(1/2) U with U unitary,
+    L @ H_iid has the same law as R^(1/2) @ H_iid. The recursion is one
+    unit lower bidiagonal solve, applied to the real and imaginary parts.
     """
-    if M < 1:
-        raise ValueError(f"M must be positive, got {M}")
-    first_row = spec.rho ** (spec.spacing * np.arange(M))
-    return scipy.linalg.toeplitz(first_row)
-
-
-def apply_correlation(R_sqrt: np.ndarray, H_iid: np.ndarray) -> np.ndarray:
-    """Color an iid channel with a correlation square root: R_sqrt @ H_iid."""
-    R_sqrt = np.asarray(R_sqrt)
-    H_iid = np.asarray(H_iid)
-    if R_sqrt.ndim != 2 or R_sqrt.shape[0] != R_sqrt.shape[1]:
-        raise ValueError(f"R_sqrt must be square, got shape {R_sqrt.shape}")
-    if H_iid.ndim != 2 or H_iid.shape[0] != R_sqrt.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: R_sqrt is {R_sqrt.shape}, H_iid is {H_iid.shape}"
-        )
-    return R_sqrt @ H_iid
+    M, K = H_iid.shape
+    r = spec.rho**spec.spacing
+    b = np.empty((M, 2 * K), order="F")
+    b[:, :K] = H_iid.real
+    b[:, K:] = H_iid.imag
+    b[1:] *= np.sqrt(1.0 - r * r)
+    band = np.empty((2, M))
+    band[0] = 1.0
+    band[1] = -r
+    x, info = dtbtrs(band, b, uplo="L", diag="U", overwrite_b=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dtbtrs failed with info={info}")
+    H = np.empty((M, K), dtype=np.complex128)
+    H.real = x[:, :K]
+    H.imag = x[:, K:]
+    return H
 
 
 def apply_link_gains(H: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -122,22 +121,6 @@ def apply_link_gains(H: np.ndarray, beta: np.ndarray) -> np.ndarray:
     if not (beta > 0).all():
         raise ValueError("all link gains must be positive")
     return H * np.sqrt(beta)[np.newaxis, :]
-
-
-@lru_cache(maxsize=16)
-def _correlation_sqrt_cached(M: int, rho: float, spacing: float) -> np.ndarray:
-    S = psd_sqrt(exp_correlation_matrix(M, CorrelationSpec(rho, spacing)))
-    S.flags.writeable = False
-    return S
-
-
-def correlation_sqrt(M: int, spec: CorrelationSpec) -> np.ndarray:
-    """Principal square root of the ULA correlation matrix.
-
-    Cached per (M, rho, spacing) since it dominates the per-sweep-point setup
-    cost; the returned array is read-only and shared across trials.
-    """
-    return _correlation_sqrt_cached(M, spec.rho, spec.spacing)
 
 
 def sample_channel(
@@ -157,7 +140,7 @@ def sample_channel(
     if correlation is None or correlation.rho == 0.0:
         H = H_iid
     else:
-        H = apply_correlation(correlation_sqrt(M, correlation), H_iid)
+        H = color_exponential(H_iid, correlation)
     beta = np.asarray(beta, dtype=float)
     G = H if beta.shape == (K,) and (beta == 1.0).all() else apply_link_gains(H, beta)
     return ChannelSample(H_iid=H_iid, H=H, G=G, beta=beta)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -342,6 +343,13 @@ def _fmt_cell(value) -> str:
     return format(float(value), ".12g")
 
 
+def _json_value(value):
+    # JSON has no NaN or infinity; a non-finite statistic is written as null.
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def emit(results: list[SweepResult], config: RunConfig) -> Path:
     """Write all sweep rows to the configured file; returns its path."""
     path = config.output
@@ -351,10 +359,10 @@ def emit(results: list[SweepResult], config: RunConfig) -> Path:
             payload = {
                 "preset": config.preset,
                 "format": config.fmt,
-                "rows": rows,
+                "rows": [{k: _json_value(v) for k, v in row.items()} for row in rows],
             }
             with open(path, "w") as fh:
-                json.dump(payload, fh, indent=1)
+                json.dump(payload, fh, indent=1, allow_nan=False)
                 fh.write("\n")
         else:
             with open(path, "w", newline="") as fh:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CorrelationSpec, RngStream, correlation_sqrt, sample_channel
+from .channel import CorrelationSpec, RngStream, sample_channel
 from .metrics import convergence_metrics
 from .numerics import SingularMatrixError, gram_normalized, single_threaded_blas
 from .power import PowerProfile, link_gains, profile_moments
@@ -173,8 +173,6 @@ def _run_point(scenario: Scenario, M: int, K: int, workers: int) -> SweepPoint:
     s = scenario
     T = s.trials
     beta = link_gains(K, s.profile) if s.profile is not None else np.ones(K)
-    if s.correlation is not None and s.correlation.rho > 0:
-        correlation_sqrt(M, s.correlation)  # fill the cache before the pool starts
 
     need_gram_g = s.compute_zf or s.compute_mf or (s.compute_metrics and s.gram_source == "G")
     cols: dict[str, np.ndarray] = {}

@@ -43,10 +43,6 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """Matrix is numerically singular (e.g. a degenerate channel sample)."""
 
 
-class NotPSDError(np.linalg.LinAlgError):
-    """Matrix has an eigenvalue below tolerance; no PSD square root exists."""
-
-
 @functools.cache
 def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
     """(get, set) thread-count functions of every bundled OpenBLAS found.
@@ -139,23 +135,6 @@ def hermitian_eigenvalues(W: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, real and sorted ascending."""
     W = _as_square(W)
     return np.linalg.eigvalsh(W)
-
-
-def psd_sqrt(R: np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.
-
-    Eigenvalues in [-tol, 0) with tol = SINGULAR_RTOL * max eigenvalue are
-    clamped to zero; anything below -tol raises NotPSDError.
-    """
-    R = _as_square(R, "R")
-    w, V = np.linalg.eigh(R)
-    tol = SINGULAR_RTOL * max(float(w[-1]), 0.0)
-    if w[0] < -tol:
-        raise NotPSDError(
-            f"matrix has eigenvalue {w[0]:.3e} below tolerance -{tol:.3e}"
-        )
-    w = np.maximum(w, 0.0)
-    return _mirror_hermitian((V * np.sqrt(w)) @ V.conj().T)
 
 
 def inverse_trace(W: np.ndarray) -> float:

@@ -2,23 +2,43 @@
 
 Moment checks exploit that columns of one iid draw are themselves
 independent trials, so a single wide matrix stands in for a trial loop.
+The correlated channel is checked against a dense oracle: the exponential
+correlation matrix and its principal square root.
 """
+
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import mimo_converge
 from mimo_converge.channel import (
     ChannelSample,
     CorrelationSpec,
     RngStream,
-    apply_correlation,
     apply_link_gains,
-    correlation_sqrt,
-    exp_correlation_matrix,
+    color_exponential,
     sample_channel,
     sample_iid,
 )
-from mimo_converge.numerics import hermitian_eigenvalues
+from mimo_converge.numerics import gram_normalized, hermitian_eigenvalues
+from mimo_converge.precoding import mf_sinr_from_gram, zf_snr_from_gram
+
+
+def exp_correlation_matrix(M, spec):
+    """Dense M x M oracle R_ij = rho**(spacing*|i - j|)."""
+    return scipy.linalg.toeplitz(spec.rho ** (spec.spacing * np.arange(M)))
+
+
+def dense_root(R):
+    """Principal square root of a symmetric positive definite matrix."""
+    w, V = np.linalg.eigh(R)
+    return (V * np.sqrt(w)) @ V.T
 
 
 class TestRngStream:
@@ -104,31 +124,90 @@ class TestExpCorrelationMatrix:
 
 
 class TestApplyCorrelation:
+    """Coloring by the AR(1) recursion, color_exponential."""
+
     def test_identity_passthrough(self):
         H = sample_iid(4, 3, RngStream(1))
-        assert np.array_equal(apply_correlation(np.eye(4), H), H)
+        assert np.array_equal(color_exponential(H, CorrelationSpec(0.0)), H)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_correlation(np.eye(3), sample_iid(4, 2, RngStream(1)))
+    def test_factor_multiplies_back_to_r(self):
+        # coloring the identity gives the factor L itself; L L^H must be R
+        for spec in (CorrelationSpec(0.5), CorrelationSpec(0.9, spacing=2.0)):
+            L = color_exponential(np.eye(6, dtype=complex), spec)
+            np.testing.assert_allclose(L @ L.conj().T, exp_correlation_matrix(6, spec), atol=1e-14)
 
     def test_pairwise_correlation_moment(self):
-        # columns are trials: mean h_1 conj(h_2) estimates the model value 0.5
-        spec = CorrelationSpec(rho=0.5)
-        H = apply_correlation(correlation_sqrt(2, spec), sample_iid(2, 100_000, RngStream(seed=12)))
-        est = np.mean(H[0] * np.conj(H[1]))
-        assert abs(est - 0.5) < 0.02
+        # columns are trials: mean h_i conj(h_j) estimates r**|i - j|,
+        # r = rho**spacing
+        for spec, r in ((CorrelationSpec(0.5), 0.5), (CorrelationSpec(0.5, spacing=2.0), 0.25)):
+            H = color_exponential(sample_iid(3, 100_000, RngStream(seed=12)), spec)
+            assert abs(np.mean(H[0] * np.conj(H[1])) - r) < 0.02
+            assert abs(np.mean(H[1] * np.conj(H[2])) - r) < 0.02
+            assert abs(np.mean(H[0] * np.conj(H[2])) - r**2) < 0.02
 
     def test_unit_diagonal_preserves_entry_power(self):
         spec = CorrelationSpec(rho=0.9)
-        H = apply_correlation(correlation_sqrt(16, spec), sample_iid(16, 20_000, RngStream(seed=13)))
+        H = color_exponential(sample_iid(16, 20_000, RngStream(seed=13)), spec)
         assert abs(np.mean(np.abs(H) ** 2) - 1.0) < 0.02
+
+    def test_first_row_is_the_iid_draw(self):
+        H = sample_iid(8, 5, RngStream(3))
+        assert color_exponential(H, CorrelationSpec(0.7))[0].tobytes() == H[0].tobytes()
 
     def test_deterministic(self):
         spec = CorrelationSpec(rho=0.7)
-        H = sample_iid(8, 2, RngStream(3))
-        S = correlation_sqrt(8, spec)
-        assert np.array_equal(apply_correlation(S, H), apply_correlation(S, H))
+        a = sample_channel(8, 2, np.ones(2), RngStream(3, 4), spec)
+        b = sample_channel(8, 2, np.ones(2), RngStream(3, 4), spec)
+        assert a.G.tobytes() == b.G.tobytes()
+
+    def test_law_matches_dense_root_oracle(self):
+        # The recursion applies the Cholesky factor L = R^(1/2) U, so L H_iid
+        # and R^(1/2) H_iid share one law. Compare Gram second moments and
+        # the ZF/MF means over independent streams within 4 combined SE.
+        M, K, T = 8, 4, 4000
+        spec = CorrelationSpec(rho=0.9)
+        root = dense_root(exp_correlation_matrix(M, spec))
+
+        def trial_stats(H):
+            W = gram_normalized(H, 1.0)
+            return np.concatenate([
+                np.abs(W.ravel()) ** 2,
+                [zf_snr_from_gram(W, 1.0)],
+                mf_sinr_from_gram(W, 1.0),
+            ])
+
+        ar1 = np.array([
+            trial_stats(color_exponential(sample_iid(M, K, RngStream(21, t)), spec))
+            for t in range(T)
+        ])
+        oracle = np.array([trial_stats(root @ sample_iid(M, K, RngStream(22, t))) for t in range(T)])
+        se = np.sqrt(ar1.var(axis=0, ddof=1) / T + oracle.var(axis=0, ddof=1) / T)
+        z = np.abs(ar1.mean(axis=0) - oracle.mean(axis=0)) / se
+        assert z.max() < 4, f"largest gap {z.max():.2f} SE"
+
+    def test_memory_stays_linear_in_m(self):
+        # a dense root at M = 16384 alone would take 2 GiB
+        tracemalloc.start()
+        try:
+            sample_channel(16384, 50, np.ones(50), RngStream(1), CorrelationSpec(0.9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_correlated_run_does_not_import_scipy_signal(self):
+        # scipy.signal takes most of a second to import
+        code = (
+            "import sys\n"
+            "from mimo_converge import CorrelationSpec, Scenario, run_scenario\n"
+            "run_scenario(Scenario(mode='fixed-K', K=2, sweep=(4,), trials=1,\n"
+            "                      correlation=CorrelationSpec(0.9)))\n"
+            "assert 'scipy.signal' not in sys.modules\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(mimo_converge.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 class TestApplyLinkGains:

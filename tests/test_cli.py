@@ -20,6 +20,8 @@ from mimo_converge.montecarlo import (
     FIXED_ALPHA,
     FIXED_K,
     ConfigError,
+    StatSummary,
+    SweepPoint,
     SweepResult,
     run_scenario,
 )
@@ -240,6 +242,32 @@ class TestEmit:
             assert row["mean"] == summary.mean  # exact, json floats round-trip
             assert row["std"] == summary.std
             assert row["limit"] == summary.limit
+
+    def test_non_finite_statistics_are_null_in_json_and_kept_in_csv(self, tmp_path):
+        stats = {
+            "mad": StatSummary(mean=float("nan"), std=float("inf"), stderr=-float("inf"), trials=3),
+            "zf_snr": StatSummary(mean=1.5, std=0.25, stderr=0.125, trials=3, limit=float("inf")),
+        }
+        point = SweepPoint(M=50, K=5, alpha=10.0, stats=stats)
+
+        def reject_constant(name):
+            raise ValueError(f"invalid JSON constant {name}")
+
+        config = _tiny_config(tmp_path, fmt="json")
+        emit([SweepResult(scenario=config.scenarios[0], points=[point])], config)
+        payload = json.loads(config.output.read_text(), parse_constant=reject_constant)
+        rows = {r["statistic"]: r for r in payload["rows"]}
+        assert rows["mad"]["mean"] is None
+        assert rows["mad"]["std"] is None and rows["mad"]["stderr"] is None
+        assert rows["zf_snr"]["limit"] is None
+        assert rows["zf_snr"]["mean"] == 1.5 and rows["zf_snr"]["stderr"] == 0.125
+
+        config = _tiny_config(tmp_path)
+        emit([SweepResult(scenario=config.scenarios[0], points=[point])], config)
+        with open(config.output, newline="") as fh:
+            rows = {r["statistic"]: r for r in csv.DictReader(fh)}
+        assert (rows["mad"]["mean"], rows["mad"]["std"], rows["mad"]["stderr"]) == ("nan", "inf", "-inf")
+        assert rows["zf_snr"]["limit"] == "inf"
 
     def test_config_echoed_in_every_row(self, tmp_path):
         out = tmp_path / "fig5.csv"

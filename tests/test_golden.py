@@ -21,8 +21,8 @@ GOLDEN_SHA256 = {
     "fig1": "381b2661d6e7dee42f9e94b568d49a6f3bbb310bcee073d0d33fda17b5c9adb8",
     "fig4": "8d3798f192ff35cd57a156c5aaf563c2782d14f8dea424c01be8dd933dc4e0b3",
     "fig5": "ec4c580942fbc61229b111aaa1bd3669c049205490cadd9ef3ff6094bcd05a6e",
-    "fig6": "06446e253a9db5f976727536121afd2b2314d8d99de67cab589edd8b372d791a",
-    "fig7": "789d2cd957968bb4889d69b64e855baab5d95102647ff2533ac755e4e4c2d776",
+    "fig6": "1da8d9b2005944acd4da339f069df3a19cd5c6370e80f0721e3421efb6e408b2",
+    "fig7": "81f8833a1fdf3d042d70a909bb2470831cad348fb2073cb7429116bbd31b3d54",
 }
 
 

@@ -1,7 +1,7 @@
 """Linear-algebra kernel tests.
 
 Ground truth: hand-derived closed forms for small matrices, and the
-eigenvalue decomposition as an independent oracle for traces and roots.
+eigenvalue decomposition as an independent oracle for traces.
 """
 
 import subprocess
@@ -13,16 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimo_converge.channel import CorrelationSpec, exp_correlation_matrix
 import mimo_converge
 from mimo_converge.numerics import (
     _openblas_thread_controls,
-    NotPSDError,
     SingularMatrixError,
     gram_normalized,
     hermitian_eigenvalues,
     inverse_trace,
-    psd_sqrt,
     single_threaded_blas,
 )
 
@@ -104,35 +101,6 @@ class TestHermitianEigenvalues:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             hermitian_eigenvalues(np.array([[np.inf, 0], [0, 1.0]]))
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        np.testing.assert_allclose(psd_sqrt(np.eye(4)), np.eye(4))
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    def test_exp_correlation_multiply_back(self):
-        R = exp_correlation_matrix(3, CorrelationSpec(rho=0.5))
-        S = psd_sqrt(R)
-        np.testing.assert_allclose(S @ S, R, rtol=1e-10, atol=1e-12)
-
-    @given(st.integers(2, 10), st.integers(0, 10_000))
-    @settings(max_examples=30, deadline=None)
-    def test_square_reproduces_input(self, k, seed):
-        R = gram_normalized(_random_complex(k + 2, k, seed), 1.0)
-        S = psd_sqrt(R)
-        assert np.linalg.norm(S @ S - R) <= 1e-10 * max(1.0, np.linalg.norm(R))
-
-    def test_result_is_hermitian_psd(self):
-        S = psd_sqrt(gram_normalized(_random_complex(9, 5, 8), 1.0))
-        assert np.array_equal(S, S.conj().T)
-        assert hermitian_eigenvalues(S)[0] >= 0
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPSDError):
-            psd_sqrt(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues -1, 3
 
 
 class TestInverseTrace:
