@@ -14,7 +14,7 @@ from .montecarlo import (
 )
 from .numerics import SingularMatrixError
 from .power import PowerProfile, limiting_moments, link_gains
-from .precoding import PrecoderResult, SystemParams, precoder_result
+from .precoding import SystemParams
 from .presets import PRESETS, build_preset
 
 __version__ = "0.1.0"
@@ -27,7 +27,6 @@ __all__ = [
     "LimitGap",
     "PRESETS",
     "PowerProfile",
-    "PrecoderResult",
     "RngStream",
     "Scenario",
     "SingularMatrixError",
@@ -40,7 +39,6 @@ __all__ = [
     "convergence_metrics",
     "limiting_moments",
     "link_gains",
-    "precoder_result",
     "run_scenario",
     "sample_channel",
 ]

@@ -10,9 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
 _MASK64 = (1 << 64) - 1
+
+# Rows per block of the correlation coloring. The block-local recursion is a
+# small matrix product, so BLAS does most of the work; 16 to 32 rows measured
+# fastest from 50 x 5 to 16384 x 50 (one thread, 2-CPU x86-64 VM).
+_COLOR_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -89,25 +93,26 @@ def color_exponential(H_iid: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
     Runs the AR(1) recursion h_1 = w_1, h_m = r h_(m-1) + sqrt(1 - r^2) w_m
     with r = rho**spacing down every column. That applies the Cholesky
     factor L of R_ij = r**|i - j|, and since L = R^(1/2) U with U unitary,
-    L @ H_iid has the same law as R^(1/2) @ H_iid. The recursion is one
-    unit lower bidiagonal solve, applied to the real and imaginary parts.
+    L @ H_iid has the same law as R^(1/2) @ H_iid. The recursion runs in
+    blocks of B rows: inside a block it is one product with the Toeplitz
+    factor T_ij = r**(i - j), i >= j, and then, block after block, row i
+    adds r**(i + 1) times the last row of the block before it.
     """
     M, K = H_iid.shape
     r = spec.rho**spec.spacing
-    b = np.empty((M, 2 * K), order="F")
-    b[:, :K] = H_iid.real
-    b[:, K:] = H_iid.imag
-    b[1:] *= np.sqrt(1.0 - r * r)
-    band = np.empty((2, M))
-    band[0] = 1.0
-    band[1] = -r
-    x, info = dtbtrs(band, b, uplo="L", diag="U", overwrite_b=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dtbtrs failed with info={info}")
-    H = np.empty((M, K), dtype=np.complex128)
-    H.real = x[:, :K]
-    H.imag = x[:, K:]
-    return H
+    B = min(M, _COLOR_BLOCK_ROWS)
+    blocks = -(-M // B)
+    x = np.zeros((blocks * B, K), dtype=np.complex128)  # zero rows pad the last block
+    x[:M] = np.sqrt(1.0 - r * r) * H_iid
+    x[0] = H_iid[0]
+    powers = r ** np.arange(B + 1)
+    i = np.arange(B)
+    T = np.tril(powers[np.abs(i[:, np.newaxis] - i)])
+    # real and imaginary parts share the real factor
+    y = T @ x.view(np.float64).reshape(blocks, B, 2 * K)
+    for block in range(1, blocks):
+        y[block] += powers[1:, np.newaxis] * y[block - 1, -1]
+    return y.reshape(blocks * B, 2 * K)[:M].view(np.complex128)
 
 
 def apply_link_gains(H: np.ndarray, beta: np.ndarray) -> np.ndarray:

@@ -5,9 +5,9 @@ then preset value, then built-in default. The seed's built-in default can
 additionally be supplied through the MIMO_CONVERGE_SEED environment
 variable. Output files are byte-identical across runs with the same
 configuration and seed, with any worker count and any host BLAS thread
-count: the sweep pins the OpenBLAS bundled with numpy and scipy to one
-thread, so --workers is the only parallelism. With a BLAS that cannot be
-pinned, the bytes may depend on its thread count.
+count: the sweep pins the OpenBLAS bundled with numpy, the only BLAS the
+simulator calls, to one thread, so --workers is the only parallelism. With
+a BLAS that cannot be pinned, the bytes may depend on its thread count.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O error.

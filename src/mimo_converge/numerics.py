@@ -16,19 +16,16 @@ from collections.abc import Callable
 from contextlib import contextmanager
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import get_lapack_funcs
 
 # Relative eigenvalue threshold below which a matrix is treated as singular.
 # Double precision leaves ample headroom: well-posed samples (M > K) sit many
 # orders of magnitude above this.
 SINGULAR_RTOL = 1e-12
 
-# Thread-count getter and setter exported by the OpenBLAS each package
-# bundles: numpy's 64-bit-integer build and scipy's 32-bit-integer build.
+# Thread-count getter and setter exported by the 64-bit-integer OpenBLAS
+# that numpy bundles, the only BLAS the simulator calls.
 _BUNDLED_OPENBLAS = (
     (np, "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    (scipy, "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
 )
 
 # The thread count is process-wide native state, so overlapping pins from
@@ -141,20 +138,19 @@ def inverse_trace(W: np.ndarray) -> float:
     """Trace of the inverse of a Hermitian positive definite matrix.
 
     Cholesky based: for W = L L^H, tr(W^{-1}) equals the squared Frobenius
-    norm of L^{-1}. A LAPACK reciprocal-condition estimate on the factor
-    rejects numerically singular input (the 1-norm estimate tracks the
-    eigenvalue ratio to within a factor of the dimension).
+    norm of L^{-1}. Numerically singular input is rejected through the
+    bound ||W||_1 tr(W^{-1}), which lies within a factor of the dimension
+    of the 1-norm condition number and costs nothing extra; an infinite or
+    NaN bound counts as singular too.
     """
     W = _as_square(W)
     try:
-        L = scipy.linalg.cholesky(W, lower=True)
+        L_inv = np.linalg.inv(np.linalg.cholesky(W))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"matrix is not positive definite: {exc}") from exc
-    (pocon,) = get_lapack_funcs(("pocon",), (L,))
-    rcond, info = pocon(L, np.linalg.norm(W, 1), uplo="L")
-    if info != 0 or rcond < SINGULAR_RTOL:
-        raise SingularMatrixError(
-            f"matrix is numerically singular (rcond={rcond:.3e})"
-        )
-    L_inv = scipy.linalg.solve_triangular(L, np.eye(W.shape[0]), lower=True)
-    return float(np.sum(np.abs(L_inv) ** 2))
+    with np.errstate(over="ignore"):
+        trace = float(np.sum(np.abs(L_inv) ** 2))
+        cond = float(np.linalg.norm(W, 1)) * trace
+    if not cond * SINGULAR_RTOL <= 1.0:
+        raise SingularMatrixError(f"matrix is numerically singular (condition bound {cond:.3e})")
+    return trace

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _as_matrix, gram_normalized, inverse_trace
+from .numerics import inverse_trace
 
 
 @dataclass(frozen=True)
@@ -30,31 +30,9 @@ class SystemParams:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class PrecoderResult:
-    """Both precoders evaluated on one realization (shared column Gram)."""
-
-    zf_snr: float
-    mf_sinr: np.ndarray
-    zf_gamma: float
-    mf_gamma: float
-
-
-def zf_gamma(G: np.ndarray) -> float:
-    """Power normalization of the ZF precoder: tr(Gram(G)^{-1}) / K."""
-    G = _as_matrix(G, "G")
-    return inverse_trace(gram_normalized(G, 1.0)) / G.shape[1]
-
-
 def zf_snr_from_gram(gram: np.ndarray, rho_f: float) -> float:
     """ZF per-user SNR given the precomputed K x K column Gram of G."""
     return rho_f / inverse_trace(gram)
-
-
-def zf_snr(G: np.ndarray, params: SystemParams) -> float:
-    """Instantaneous ZF SNR, identical for every user."""
-    G = _as_matrix(G, "G")
-    return zf_snr_from_gram(gram_normalized(G, 1.0), params.rho_f)
 
 
 def zf_snr_limit(params: SystemParams, mean_inv_beta: float) -> float:
@@ -64,15 +42,6 @@ def zf_snr_limit(params: SystemParams, mean_inv_beta: float) -> float:
     if mean_inv_beta <= 0:
         raise ValueError(f"mean_inv_beta must be positive, got {mean_inv_beta}")
     return params.rho_f * (params.alpha - 1.0) / mean_inv_beta
-
-
-def mf_gamma(G: np.ndarray) -> float:
-    """Power normalization of the MF precoder: squared Frobenius norm / K."""
-    G = _as_matrix(G, "G")
-    norm_sq = float(np.sum(np.abs(G) ** 2))
-    if norm_sq == 0.0:
-        raise ValueError("G must be nonzero")
-    return norm_sq / G.shape[1]
 
 
 def mf_sinr_from_gram(gram: np.ndarray, rho_f: float) -> np.ndarray:
@@ -92,12 +61,6 @@ def mf_sinr_from_gram(gram: np.ndarray, rho_f: float) -> np.ndarray:
     return c * signal / (1.0 + c * interference)
 
 
-def mf_sinr(G: np.ndarray, params: SystemParams) -> np.ndarray:
-    """Instantaneous MF SINR of each user."""
-    G = _as_matrix(G, "G")
-    return mf_sinr_from_gram(gram_normalized(G, 1.0), params.rho_f)
-
-
 def mf_sinr_limit(params: SystemParams, beta_i: float, mean_beta: float) -> float:
     """Large-system MF SINR of a user with link gain beta_i.
 
@@ -111,18 +74,4 @@ def mf_sinr_limit(params: SystemParams, beta_i: float, mean_beta: float) -> floa
         * params.alpha
         * beta_i**2
         / (mean_beta * (1.0 + params.rho_f * beta_i))
-    )
-
-
-def precoder_result(G: np.ndarray, params: SystemParams) -> PrecoderResult:
-    """Evaluate both precoders on one realization, sharing the column Gram."""
-    G = _as_matrix(G, "G")
-    K = G.shape[1]
-    gram = gram_normalized(G, 1.0)
-    inv_tr = inverse_trace(gram)
-    return PrecoderResult(
-        zf_snr=params.rho_f / inv_tr,
-        mf_sinr=mf_sinr_from_gram(gram, params.rho_f),
-        zf_gamma=inv_tr / K,
-        mf_gamma=float(gram.diagonal().real.sum()) / K,
     )

@@ -3,9 +3,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mimo_converge
 import mimo_converge.cli as cli
 from mimo_converge.cli import (
     EXIT_CONFIG,
@@ -344,3 +348,22 @@ class TestByteReproducibility:
             assert code == EXIT_OK
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
+
+
+class TestNumpyOnly:
+    def test_preset_runs_import_no_scipy(self, tmp_path):
+        # numpy is the only numerical dependency: scipy.linalg would add its
+        # import time and a second OpenBLAS to pin to every run
+        code = (
+            "import sys\n"
+            "from mimo_converge.cli import main\n"
+            "for preset in ('fig1', 'fig5', 'fig7'):\n"
+            "    out = sys.argv[1] + '/' + preset + '.csv'\n"
+            "    assert main(['--preset', preset, '--trials', '1', '--output', out]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "assert not loaded, f'{len(loaded)} scipy modules loaded: {loaded[:3]} ...'\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(mimo_converge.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True, timeout=300)

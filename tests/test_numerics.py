@@ -6,6 +6,7 @@ eigenvalue decomposition as an independent oracle for traces.
 
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,21 @@ class TestInverseTrace:
     def test_near_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             inverse_trace(np.diag([1.0, 1e-14]))
+
+    def test_condition_bound_above_tolerance_raises(self):
+        # ||W||_1 tr(W^-1) = 1e13 + 1 exceeds 1 / SINGULAR_RTOL
+        with pytest.raises(SingularMatrixError):
+            inverse_trace(np.diag([1.0, 1e-13]))
+
+    def test_condition_bound_below_tolerance_returns(self):
+        assert inverse_trace(np.diag([1.0, 1e-10])) == pytest.approx(1e10 + 1.0, rel=1e-12)
+
+    def test_overflowing_trace_raises_without_warning(self):
+        # the inverse factor holds 1e160, whose square overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError):
+                inverse_trace(np.diag([1.0, 1e-320]))
 
 
 class TestSingleThreadedBlas:

@@ -17,15 +17,9 @@ from mimo_converge.channel import RngStream, apply_link_gains, sample_iid
 from mimo_converge.numerics import gram_normalized
 from mimo_converge.power import PowerProfile, limiting_moments, link_gains
 from mimo_converge.precoding import (
-    PrecoderResult,
     SystemParams,
-    mf_gamma,
-    mf_sinr,
     mf_sinr_from_gram,
     mf_sinr_limit,
-    precoder_result,
-    zf_gamma,
-    zf_snr,
     zf_snr_from_gram,
     zf_snr_limit,
 )
@@ -37,18 +31,31 @@ def _orthonormal_columns(M, K, scale=1.0):
     return scale * np.eye(M, K, dtype=complex)
 
 
+def _zf_snr(G, rho_f=1.0):
+    return zf_snr_from_gram(gram_normalized(G, 1.0), rho_f)
+
+
+def _mf_sinr(G, rho_f=1.0):
+    return mf_sinr_from_gram(gram_normalized(G, 1.0), rho_f)
+
+
+def _zf_gamma(G):
+    """ZF power normalization tr(Gram(G)^{-1}) / K, read off the SNR at rho_f = 1."""
+    return 1.0 / (G.shape[1] * _zf_snr(G))
+
+
 class TestZfGamma:
     def test_identity(self):
-        assert zf_gamma(np.eye(4, dtype=complex)) == pytest.approx(1.0)
+        assert _zf_gamma(np.eye(4, dtype=complex)) == pytest.approx(1.0)
 
     def test_scaled_orthonormal_columns(self):
-        assert zf_gamma(_orthonormal_columns(8, 3, scale=2.0)) == pytest.approx(0.25)
+        assert _zf_gamma(_orthonormal_columns(8, 3, scale=2.0)) == pytest.approx(0.25)
 
     def test_inverse_wishart_mean(self):
         # E{tr(Gram(G)^{-1})} = K/(M-K) for an iid complex Gaussian sample
         M, K, trials = 40, 10, 3000
         traces = [
-            K * zf_gamma(sample_iid(M, K, RngStream(21, t))) for t in range(trials)
+            K * _zf_gamma(sample_iid(M, K, RngStream(21, t))) for t in range(trials)
         ]
         assert np.mean(traces) == pytest.approx(K / (M - K), rel=0.02)
 
@@ -57,12 +64,12 @@ class TestZfSnr:
     def test_single_user_exact(self):
         g = sample_iid(16, 1, RngStream(22))
         expected = 1.0 * np.sum(np.abs(g) ** 2)
-        assert zf_snr(g, SystemParams(rho_f=1.0, alpha=16.0)) == pytest.approx(expected, rel=1e-12)
+        assert _zf_snr(g) == pytest.approx(expected, rel=1e-12)
 
     def test_equal_power_monte_carlo_limit(self):
         M, K, trials = 100, 10, 500
         snrs = [
-            zf_snr(sample_iid(M, K, RngStream(23, t)), PARAMS_A10) for t in range(trials)
+            _zf_snr(sample_iid(M, K, RngStream(23, t))) for t in range(trials)
         ]
         assert np.mean(snrs) == pytest.approx(9.0, rel=0.05)
 
@@ -71,11 +78,13 @@ class TestZfSnr:
         Z = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
         Q, _ = np.linalg.qr(Z)
         G = sample_iid(12, 4, RngStream(24))
-        assert zf_snr(Q @ G, PARAMS_A10) == pytest.approx(zf_snr(G, PARAMS_A10), rel=1e-10)
+        assert _zf_snr(Q @ G) == pytest.approx(_zf_snr(G), rel=1e-10)
 
     def test_matches_gram_variant(self):
+        # the Gram-based SNR against the definition rho_f / tr((G^H G)^{-1})
         G = sample_iid(20, 5, RngStream(25))
-        assert zf_snr(G, PARAMS_A10) == zf_snr_from_gram(gram_normalized(G, 1.0), 1.0)
+        direct = 2.0 / np.trace(np.linalg.inv(G.conj().T @ G)).real
+        assert _zf_snr(G, 2.0) == pytest.approx(direct, rel=1e-12)
 
 
 class TestZfSnrLimit:
@@ -94,36 +103,41 @@ class TestZfSnrLimit:
 
 
 class TestMfGamma:
+    """MF power normalization tr(Gram(G)) / K, applied inside mf_sinr_from_gram."""
+
     def test_orthonormal_columns(self):
-        assert mf_gamma(_orthonormal_columns(6, 3)) == pytest.approx(1.0)
+        # gamma = 1 and no interference, so every SINR is rho_f / K
+        np.testing.assert_allclose(_mf_sinr(_orthonormal_columns(6, 3)), 1.0 / 3, rtol=1e-15)
 
     def test_mean_is_average_gain_at_any_m(self):
         # E{gamma/M} equals the average link gain exactly, even at small M
         M, K, trials = 8, 5, 4000
         beta = link_gains(K, PowerProfile(0.1, 1.0))
-        vals = [
-            mf_gamma(apply_link_gains(sample_iid(M, K, RngStream(26, t)), beta)) / M
-            for t in range(trials)
-        ]
+
+        def gamma_over_m(t):
+            G = apply_link_gains(sample_iid(M, K, RngStream(26, t)), beta)
+            return gram_normalized(G, M).diagonal().real.mean()
+
+        vals = [gamma_over_m(t) for t in range(trials)]
         assert np.mean(vals) == pytest.approx(beta.mean(), rel=0.02)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
-            mf_gamma(np.zeros((3, 2)))
+            _mf_sinr(np.zeros((3, 2)))
 
 
 class TestMfSinr:
     def test_single_user_exact(self):
         g = sample_iid(16, 1, RngStream(27))
         expected = 1.0 * np.sum(np.abs(g) ** 2)
-        sinr = mf_sinr(g, SystemParams(rho_f=1.0, alpha=16.0))
+        sinr = _mf_sinr(g)
         assert sinr.shape == (1,)
         assert sinr[0] == pytest.approx(expected, rel=1e-12)
 
     def test_equal_power_monte_carlo_limit(self):
         M, K, trials = 200, 20, 300
         means = [
-            mf_sinr(sample_iid(M, K, RngStream(28, t)), PARAMS_A10).mean()
+            _mf_sinr(sample_iid(M, K, RngStream(28, t))).mean()
             for t in range(trials)
         ]
         assert np.mean(means) == pytest.approx(5.0, rel=0.10)
@@ -141,8 +155,8 @@ class TestMfSinr:
     def test_unit_gains_bitwise_equal_power_path(self):
         H = sample_iid(30, 6, RngStream(29))
         G = apply_link_gains(H, np.ones(6))
-        assert np.array_equal(mf_sinr(G, PARAMS_A10), mf_sinr(H, PARAMS_A10))
-        assert zf_snr(G, PARAMS_A10) == zf_snr(H, PARAMS_A10)
+        assert np.array_equal(_mf_sinr(G), _mf_sinr(H))
+        assert _zf_snr(G) == _zf_snr(H)
 
 
 class TestMfSinrLimit:
@@ -169,7 +183,7 @@ class TestMfSinrLimit:
         M, trials = 500, 300
         mean_beta, _ = limiting_moments(profile)
         sinr_user3 = [
-            mf_sinr(apply_link_gains(sample_iid(M, 50, RngStream(32, t)), beta), PARAMS_A10)[2]
+            _mf_sinr(apply_link_gains(sample_iid(M, 50, RngStream(32, t)), beta))[2]
             for t in range(trials)
         ]
         assert np.mean(sinr_user3) == pytest.approx(10.7454, rel=0.10)
@@ -183,13 +197,3 @@ class TestMfSinrLimit:
         with pytest.raises(ValueError):
             mf_sinr_limit(PARAMS_A10, 0.0, 1.0)
 
-
-class TestPrecoderResult:
-    def test_bundle_matches_individual_ops(self):
-        G = sample_iid(24, 6, RngStream(30))
-        res = precoder_result(G, PARAMS_A10)
-        assert isinstance(res, PrecoderResult)
-        assert res.zf_snr == pytest.approx(zf_snr(G, PARAMS_A10), rel=1e-12)
-        assert res.zf_gamma == pytest.approx(zf_gamma(G), rel=1e-12)
-        assert res.mf_gamma == pytest.approx(mf_gamma(G), rel=1e-12)
-        np.testing.assert_allclose(res.mf_sinr, mf_sinr(G, PARAMS_A10), rtol=1e-12)
