@@ -1,7 +1,6 @@
 """Monte Carlo study of massive MIMO convergence toward large-antenna limits."""
 
-from .channel import ChannelSample, CorrelationSpec, RngStream, sample_channel
-from .metrics import ConvergenceMetrics, convergence_metrics
+from .channel import CorrelationSpec, RngStream
 from .montecarlo import (
     ConfigError,
     LimitGap,
@@ -14,15 +13,12 @@ from .montecarlo import (
 )
 from .numerics import SingularMatrixError
 from .power import PowerProfile, limiting_moments, link_gains
-from .precoding import SystemParams
 from .presets import PRESETS, build_preset
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelSample",
     "ConfigError",
-    "ConvergenceMetrics",
     "CorrelationSpec",
     "LimitGap",
     "PRESETS",
@@ -33,12 +29,9 @@ __all__ = [
     "StatSummary",
     "SweepPoint",
     "SweepResult",
-    "SystemParams",
     "build_preset",
     "compare_to_limit",
-    "convergence_metrics",
     "limiting_moments",
     "link_gains",
     "run_scenario",
-    "sample_channel",
 ]

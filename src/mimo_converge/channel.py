@@ -1,12 +1,14 @@
-"""Correlated Rayleigh channel generation with deterministic link gains.
+"""Correlated Rayleigh channel generation.
 
-The downlink channel is an M x K complex matrix built in three steps:
-an iid CN(0, 1) matrix, an optional transmit-side correlation coloring
-for a uniform linear array, and per-user link-gain scaling of the columns.
+The small-scale downlink channel is an M x K complex matrix: an iid
+CN(0, 1) draw, colored along its rows when the uniform linear array is
+correlated. The sweep harness scales its columns by the square roots of
+the link gains.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,18 +57,8 @@ class CorrelationSpec:
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must be in [0, 1), got {self.rho}")
-        if self.spacing <= 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
-
-
-@dataclass(frozen=True)
-class ChannelSample:
-    """One channel realization and its factors."""
-
-    H_iid: np.ndarray
-    H: np.ndarray
-    G: np.ndarray
-    beta: np.ndarray
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError(f"spacing must be finite and positive, got {self.spacing}")
 
 
 def sample_iid(M: int, K: int, rng: RngStream) -> np.ndarray:
@@ -115,37 +107,14 @@ def color_exponential(H_iid: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
     return y.reshape(blocks * B, 2 * K)[:M].view(np.complex128)
 
 
-def apply_link_gains(H: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Scale column j of H by sqrt(beta_j)."""
-    H = np.asarray(H)
-    beta = np.asarray(beta, dtype=float)
-    if beta.ndim != 1 or beta.shape[0] != H.shape[1]:
-        raise ValueError(
-            f"beta length {beta.shape} does not match column count {H.shape[1]}"
-        )
-    if not (beta > 0).all():
-        raise ValueError("all link gains must be positive")
-    return H * np.sqrt(beta)[np.newaxis, :]
-
-
 def sample_channel(
     M: int,
     K: int,
-    beta: np.ndarray,
     rng: RngStream,
     correlation: CorrelationSpec | None = None,
-) -> ChannelSample:
-    """Draw one full channel realization.
-
-    With correlation disabled (None or rho = 0) the colored channel is the
-    iid draw itself, and with unit link gains the scaled channel is the
-    colored one.
-    """
-    H_iid = sample_iid(M, K, rng)
+) -> np.ndarray:
+    """Draw one small-scale channel: the iid draw, colored when rho > 0."""
+    H = sample_iid(M, K, rng)
     if correlation is None or correlation.rho == 0.0:
-        H = H_iid
-    else:
-        H = color_exponential(H_iid, correlation)
-    beta = np.asarray(beta, dtype=float)
-    G = H if beta.shape == (K,) and (beta == 1.0).all() else apply_link_gains(H, beta)
-    return ChannelSample(H_iid=H_iid, H=H, G=G, beta=beta)
+        return H
+    return color_exponential(H, correlation)

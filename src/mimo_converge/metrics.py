@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SINGULAR_RTOL, SingularMatrixError, _as_square, hermitian_eigenvalues
+from .numerics import SINGULAR_RTOL, SingularMatrixError
 
 
 @dataclass(frozen=True)
@@ -22,25 +22,18 @@ class ConvergenceMetrics:
     diagonal_dominance: float
 
 
-def deviation_matrix(W: np.ndarray) -> np.ndarray:
-    """E = W - I."""
-    W = _as_square(W)
-    return W - np.eye(W.shape[0], dtype=W.dtype)
-
-
 def mad(E: np.ndarray) -> float:
     """Mean absolute deviation: average entry magnitude over all K^2 entries.
 
     The diagonal is included; it carries the chi-square fluctuation of the
     per-user channel norms.
     """
-    E = _as_square(E, "E")
     return float(np.mean(np.abs(E)))
 
 
 def lambda_ratio(W: np.ndarray) -> float:
     """Largest-to-smallest eigenvalue ratio of a positive definite W."""
-    lam = hermitian_eigenvalues(W)
+    lam = np.linalg.eigvalsh(W)  # ascending
     if lam[0] <= SINGULAR_RTOL * lam[-1]:
         raise SingularMatrixError(
             f"smallest eigenvalue {lam[0]:.3e} is below tolerance; "
@@ -55,7 +48,6 @@ def diagonal_dominance(W: np.ndarray) -> float:
     Returns +inf when there are no off-diagonal entries (K = 1) or they are
     all exactly zero, so degenerate sweep points do not abort a run.
     """
-    W = _as_square(W)
     diag = W.diagonal()
     off_sum = float(np.abs(W).sum() - np.abs(diag).sum())
     if off_sum == 0.0:
@@ -66,7 +58,7 @@ def diagonal_dominance(W: np.ndarray) -> float:
 def convergence_metrics(W: np.ndarray) -> ConvergenceMetrics:
     """All three metrics of one Gram sample."""
     return ConvergenceMetrics(
-        mad=mad(deviation_matrix(W)),
+        mad=mad(W - np.eye(W.shape[0])),
         lambda_ratio=lambda_ratio(W),
         diagonal_dominance=diagonal_dominance(W),
     )

@@ -22,7 +22,7 @@ from .channel import CorrelationSpec, RngStream, sample_channel
 from .metrics import convergence_metrics
 from .numerics import SingularMatrixError, gram_normalized, single_threaded_blas
 from .power import PowerProfile, link_gains, profile_moments
-from .precoding import SystemParams, mf_sinr_from_gram, mf_sinr_limit, zf_snr_from_gram, zf_snr_limit
+from .precoding import mf_sinr_from_gram, mf_sinr_limit, zf_snr_from_gram, zf_snr_limit
 
 FIXED_K = "fixed-K"
 FIXED_ALPHA = "fixed-alpha"
@@ -100,17 +100,19 @@ class LimitGap:
 def sweep_points(scenario: Scenario) -> list[tuple[int, int]]:
     """Validate a scenario and expand its sweep into (M, K) pairs.
 
-    Raises ConfigError before any computation on an invalid or infeasible
-    configuration: M <= K anywhere while ZF is enabled, or M < K or K = 1
-    anywhere while the convergence metrics are enabled.
+    The only check of a scenario's numbers; the trials trust them. Raises
+    ConfigError before any computation on an invalid or infeasible
+    configuration: a non-finite rho_f or alpha, M <= K anywhere while ZF
+    is enabled, or M < K or K = 1 anywhere while the convergence metrics
+    are enabled.
     """
     s = scenario
     if s.mode not in (FIXED_K, FIXED_ALPHA):
         raise ConfigError(f"unknown mode {s.mode!r}, expected {FIXED_K!r} or {FIXED_ALPHA!r}")
     if s.trials < 1:
         raise ConfigError(f"trials must be positive, got {s.trials}")
-    if s.rho_f <= 0:
-        raise ConfigError(f"rho_f must be positive, got {s.rho_f}")
+    if not (math.isfinite(s.rho_f) and s.rho_f > 0):
+        raise ConfigError(f"rho_f must be finite and positive, got {s.rho_f}")
     if s.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {s.seed}")
     if s.gram_source not in ("H", "G"):
@@ -129,8 +131,8 @@ def sweep_points(scenario: Scenario) -> list[tuple[int, int]]:
             raise ConfigError("alpha is not a fixed-K parameter (the sweep sets M)")
         points = [(int(m), int(s.K)) for m in s.sweep]
     else:
-        if s.alpha is None or s.alpha <= 0:
-            raise ConfigError("fixed-alpha mode needs a positive alpha")
+        if s.alpha is None or not (math.isfinite(s.alpha) and s.alpha > 0):
+            raise ConfigError(f"fixed-alpha mode needs a finite positive alpha, got {s.alpha}")
         if s.K is not None:
             raise ConfigError("K is swept in fixed-alpha mode, do not fix it")
         points = []
@@ -173,6 +175,7 @@ def _run_point(scenario: Scenario, M: int, K: int, workers: int) -> SweepPoint:
     s = scenario
     T = s.trials
     beta = link_gains(K, s.profile) if s.profile is not None else np.ones(K)
+    sqrt_beta = np.sqrt(beta) if s.profile is not None else None
 
     need_gram_g = s.compute_zf or s.compute_mf or (s.compute_metrics and s.gram_source == "G")
     cols: dict[str, np.ndarray] = {}
@@ -185,10 +188,11 @@ def _run_point(scenario: Scenario, M: int, K: int, workers: int) -> SweepPoint:
     degenerate = np.zeros(T, dtype=bool)
 
     def one_trial(t: int, stream: int) -> None:
-        sample = sample_channel(M, K, beta, RngStream(s.seed, stream), s.correlation)
-        gram_g = gram_normalized(sample.G, 1.0) if need_gram_g else None
+        H = sample_channel(M, K, RngStream(s.seed, stream), s.correlation)
+        G = H if sqrt_beta is None else H * sqrt_beta
+        gram_g = gram_normalized(G, 1.0) if need_gram_g else None
         if s.compute_metrics:
-            W = gram_g / M if s.gram_source == "G" else gram_normalized(sample.H, M)
+            W = gram_g / M if s.gram_source == "G" else gram_normalized(H, M)
             m = convergence_metrics(W)
             cols["mad"][t] = m.mad
             cols["lambda_ratio"][t] = m.lambda_ratio
@@ -216,7 +220,6 @@ def _run_point(scenario: Scenario, M: int, K: int, workers: int) -> SweepPoint:
 
     alpha_pt = M / K
     mean_beta, mean_inv_beta = profile_moments(s.profile)
-    params = SystemParams(rho_f=s.rho_f, alpha=alpha_pt)
     has_limits = alpha_pt > 1
 
     stats: dict[str, StatSummary] = {}
@@ -224,11 +227,11 @@ def _run_point(scenario: Scenario, M: int, K: int, workers: int) -> SweepPoint:
         if name in cols:
             stats[name] = _summary(cols[name])
     if s.compute_zf:
-        limit = zf_snr_limit(params, mean_inv_beta) if has_limits else None
+        limit = zf_snr_limit(s.rho_f, alpha_pt, mean_inv_beta) if has_limits else None
         stats["zf_snr"] = _summary(cols["zf_snr"], limit)
     if mf_values is not None:
         user_limits = (
-            [mf_sinr_limit(params, float(b), mean_beta) for b in beta]
+            [mf_sinr_limit(s.rho_f, alpha_pt, float(b), mean_beta) for b in beta]
             if has_limits
             else None
         )

@@ -94,22 +94,6 @@ def single_threaded_blas():
                     set_threads(n)
 
 
-def _as_matrix(A: np.ndarray, name: str = "A") -> np.ndarray:
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
-        raise ValueError(f"{name} must be 2-d with nonzero dimensions, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return A
-
-
-def _as_square(W: np.ndarray, name: str = "W") -> np.ndarray:
-    W = _as_matrix(W, name)
-    if W.shape[0] != W.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {W.shape}")
-    return W
-
-
 def _mirror_hermitian(B: np.ndarray) -> np.ndarray:
     """Rebuild B from its lower triangle so Hermitian symmetry is exact."""
     low = np.tril(B, -1)
@@ -117,21 +101,12 @@ def _mirror_hermitian(B: np.ndarray) -> np.ndarray:
 
 
 def gram_normalized(A: np.ndarray, scale: float) -> np.ndarray:
-    """Scaled Hermitian Gram matrix conj(A).T @ A / scale.
+    """Scaled Hermitian Gram matrix conj(A).T @ A / scale, for scale > 0.
 
     The result is exactly Hermitian PSD with a real nonnegative diagonal;
     its dimension is the column count of A.
     """
-    A = _as_matrix(A)
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
     return _mirror_hermitian((A.conj().T @ A) / scale)
-
-
-def hermitian_eigenvalues(W: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, real and sorted ascending."""
-    W = _as_square(W)
-    return np.linalg.eigvalsh(W)
 
 
 def inverse_trace(W: np.ndarray) -> float:
@@ -143,7 +118,6 @@ def inverse_trace(W: np.ndarray) -> float:
     of the 1-norm condition number and costs nothing extra; an infinite or
     NaN bound counts as singular too.
     """
-    W = _as_square(W)
     try:
         L_inv = np.linalg.inv(np.linalg.cholesky(W))
     except np.linalg.LinAlgError as exc:

@@ -31,6 +31,8 @@ class PowerProfile:
             raise ValueError(
                 f"need 0 < beta_min <= beta_max, got {self.beta_min}, {self.beta_max}"
             )
+        if not math.isfinite(self.beta_max):
+            raise ValueError(f"beta_max must be finite, got {self.beta_max}")
         if not 0 < self.eta < 1:
             raise ValueError(f"eta must be in (0, 1), got {self.eta}")
 

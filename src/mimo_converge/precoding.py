@@ -9,25 +9,9 @@ scale; averaging in dB would change the statistic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import inverse_trace
-
-
-@dataclass(frozen=True)
-class SystemParams:
-    """Transmit SNR rho_f (linear scale) and antenna ratio alpha = M/K."""
-
-    rho_f: float
-    alpha: float
-
-    def __post_init__(self):
-        if self.rho_f <= 0:
-            raise ValueError(f"rho_f must be positive, got {self.rho_f}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
 def zf_snr_from_gram(gram: np.ndarray, rho_f: float) -> float:
@@ -35,13 +19,13 @@ def zf_snr_from_gram(gram: np.ndarray, rho_f: float) -> float:
     return rho_f / inverse_trace(gram)
 
 
-def zf_snr_limit(params: SystemParams, mean_inv_beta: float) -> float:
+def zf_snr_limit(rho_f: float, alpha: float, mean_inv_beta: float) -> float:
     """Large-system ZF SNR: rho_f (alpha - 1) / mean inverse link gain."""
-    if params.alpha <= 1:
-        raise ValueError(f"ZF limit requires alpha > 1, got {params.alpha}")
+    if alpha <= 1:
+        raise ValueError(f"ZF limit requires alpha > 1, got {alpha}")
     if mean_inv_beta <= 0:
         raise ValueError(f"mean_inv_beta must be positive, got {mean_inv_beta}")
-    return params.rho_f * (params.alpha - 1.0) / mean_inv_beta
+    return rho_f * (alpha - 1.0) / mean_inv_beta
 
 
 def mf_sinr_from_gram(gram: np.ndarray, rho_f: float) -> np.ndarray:
@@ -61,7 +45,7 @@ def mf_sinr_from_gram(gram: np.ndarray, rho_f: float) -> np.ndarray:
     return c * signal / (1.0 + c * interference)
 
 
-def mf_sinr_limit(params: SystemParams, beta_i: float, mean_beta: float) -> float:
+def mf_sinr_limit(rho_f: float, alpha: float, beta_i: float, mean_beta: float) -> float:
     """Large-system MF SINR of a user with link gain beta_i.
 
     rho_f * alpha * beta_i^2 / (mean_beta * (1 + rho_f * beta_i)); equal
@@ -69,9 +53,4 @@ def mf_sinr_limit(params: SystemParams, beta_i: float, mean_beta: float) -> floa
     """
     if beta_i <= 0 or mean_beta <= 0:
         raise ValueError("beta_i and mean_beta must be positive")
-    return (
-        params.rho_f
-        * params.alpha
-        * beta_i**2
-        / (mean_beta * (1.0 + params.rho_f * beta_i))
-    )
+    return rho_f * alpha * beta_i**2 / (mean_beta * (1.0 + rho_f * beta_i))

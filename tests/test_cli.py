@@ -286,6 +286,10 @@ class TestEmit:
             assert r["degenerate_trials"] == "0"
 
 
+def _no_trials(M, K, rng, correlation=None):
+    raise AssertionError("a trial ran before the configuration was rejected")
+
+
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -316,13 +320,32 @@ class TestMainExitCodes:
         "K, M", [("10", "5,8"), ("1", "4")], ids=["M-below-K", "single-user"]
     )
     def test_infeasible_metrics_sweep_is_config_error(self, K, M, tmp_path, monkeypatch, capsys):
-        def no_trials(*args, **kwargs):
-            raise AssertionError("a trial ran before the configuration was rejected")
-
-        monkeypatch.setattr("mimo_converge.montecarlo.sample_channel", no_trials)
+        monkeypatch.setattr("mimo_converge.montecarlo.sample_channel", _no_trials)
         out = tmp_path / "r.json"
         code = main(["--mode", "fixed-K", "--K", K, "--M", M, "--stats", "metrics",
                      "--trials", "2", "--format", "json", "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--spacing", "nan"), ("--spacing", "inf"),
+        ("--alpha", "nan"), ("--alpha", "inf"),
+        ("--rho-f", "nan"), ("--rho-f", "inf"),
+        ("--beta-max", "inf"),
+    ])
+    def test_non_finite_flag_is_config_error(self, flag, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("mimo_converge.montecarlo.sample_channel", _no_trials)
+        if flag == "--alpha":
+            argv = ["--mode", "fixed-alpha", "--K", "2,4"]
+        else:
+            argv = ["--mode", "fixed-K", "--K", "4", "--M", "8,16"]
+        if flag == "--spacing":
+            argv += ["--corr-rho", "0.5"]
+        if flag == "--beta-max":
+            argv += ["--beta-min", "0.5"]
+        out = tmp_path / "r.csv"
+        code = main([*argv, flag, value, "--trials", "2", "--output", str(out)])
         assert code == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()

@@ -25,6 +25,27 @@ GOLDEN_SHA256 = {
     "fig7": "81f8833a1fdf3d042d70a909bb2470831cad348fb2073cb7429116bbd31b3d54",
 }
 
+# Scenarios no preset takes: a correlated, unequal-power fixed-K sweep with
+# metrics on the Gram of G, a constant gain other than one, and a
+# fixed-alpha sweep with a non-unit spacing.
+NON_PRESET_ARGS = {
+    "fixedK-corr-unequal-gramG": [
+        "--mode", "fixed-K", "--K", "8", "--M", "16,64,256", "--corr-rho", "0.7",
+        "--beta-min", "0.1", "--beta-max", "1", "--gram-source", "G"],
+    "constant-gain-half": [
+        "--mode", "fixed-K", "--K", "8", "--M", "16,64,256",
+        "--beta-min", "0.5", "--beta-max", "0.5", "--corr-rho", "0.9"],
+    "fixed-alpha-spacing": [
+        "--mode", "fixed-alpha", "--alpha", "4", "--K", "2,6", "--corr-rho", "0.5",
+        "--spacing", "2", "--beta-min", "0.2", "--beta-max", "0.8"],
+}
+
+NON_PRESET_SHA256 = {
+    "fixedK-corr-unequal-gramG": "54d5d0022f6e97730cb0039369ce6d56d73aabfbc655594cc33c7e6db8d7e2c5",
+    "constant-gain-half": "88fad71733069255c8a3f5b69102e0ffec4eee09406c1ff5c7478bc291206779",
+    "fixed-alpha-spacing": "2cefb15b18ae5243e32aad04c0886562ebc0908bf98fd823f0619d649bcb6971",
+}
+
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -36,6 +57,25 @@ def test_preset_bytes_match_golden(preset, tmp_path):
     code = main(["--preset", preset, *RUN_ARGS, "--workers", "1", "--output", str(out)])
     assert code == EXIT_OK
     assert _sha256(out) == GOLDEN_SHA256[preset]
+
+
+@pytest.mark.parametrize("name", sorted(NON_PRESET_SHA256))
+def test_non_preset_bytes_match_golden(name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    code = main([*NON_PRESET_ARGS[name], *RUN_ARGS, "--workers", "1", "--output", str(out)])
+    assert code == EXIT_OK
+    assert _sha256(out) == NON_PRESET_SHA256[name]
+
+
+def test_unit_profile_bytes_match_no_profile(tmp_path):
+    # a profile of unit gains scales every column by sqrt(1.0), which must
+    # leave each bit of the equal-power run in place
+    base = ["--mode", "fixed-K", "--K", "8", "--M", "16,64", "--corr-rho", "0.7",
+            "--gram-source", "G", *RUN_ARGS, "--workers", "1"]
+    plain, unit = tmp_path / "plain.csv", tmp_path / "unit.csv"
+    assert main([*base, "--output", str(plain)]) == EXIT_OK
+    assert main([*base, "--beta-min", "1", "--beta-max", "1", "--output", str(unit)]) == EXIT_OK
+    assert unit.read_bytes() == plain.read_bytes()
 
 
 def test_bytes_independent_of_blas_threads_and_workers(tmp_path):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mimo_converge.channel import RngStream, sample_iid
 from mimo_converge.metrics import (
     convergence_metrics,
-    deviation_matrix,
     diagonal_dominance,
     lambda_ratio,
     mad,
@@ -22,17 +21,24 @@ def _sample_w(M, K, seed):
     return gram_normalized(sample_iid(M, K, RngStream(seed)), M)
 
 
+def _deviation(W):
+    """E = W - I, as convergence_metrics forms it."""
+    return W - np.eye(W.shape[0])
+
+
 class TestDeviationMatrix:
+    """The deviation E = W - I that convergence_metrics takes the MAD of."""
+
     def test_identity_gives_zero(self):
-        np.testing.assert_array_equal(deviation_matrix(np.eye(3)), np.zeros((3, 3)))
+        assert convergence_metrics(np.eye(3)).mad == 0.0
 
     def test_diagonal(self):
-        E = deviation_matrix(np.diag([1.1, 0.9]))
-        np.testing.assert_allclose(E, np.diag([0.1, -0.1]))
+        # E = diag(0.1, -0.1): two entries of magnitude 0.1 among four
+        assert convergence_metrics(np.diag([1.1, 0.9])).mad == pytest.approx(0.05)
 
     def test_entries_shrink_with_m(self):
-        small = np.abs(deviation_matrix(_sample_w(500, 50, seed=1))).mean()
-        large = np.abs(deviation_matrix(_sample_w(8000, 50, seed=1))).mean()
+        small = convergence_metrics(_sample_w(500, 50, seed=1)).mad
+        large = convergence_metrics(_sample_w(8000, 50, seed=1)).mad
         assert large < small
 
 
@@ -45,8 +51,8 @@ class TestMad:
         assert mad(E) == pytest.approx(0.15)
 
     def test_nonnegative_and_zero_iff_identity(self):
-        assert mad(deviation_matrix(np.eye(5))) == 0.0
-        assert mad(deviation_matrix(_sample_w(100, 10, seed=2))) > 0.0
+        assert mad(_deviation(np.eye(5))) == 0.0
+        assert mad(_deviation(_sample_w(100, 10, seed=2))) > 0.0
 
     def test_fixed_k_decay_slope(self):
         # mean MAD over trials decays like M^{-1/2} at fixed K
@@ -55,7 +61,7 @@ class TestMad:
         means = []
         for M in Ms:
             vals = [
-                mad(deviation_matrix(_sample_w(M, K, seed=1000 * M + t)))
+                mad(_deviation(_sample_w(M, K, seed=1000 * M + t)))
                 for t in range(trials)
             ]
             means.append(np.mean(vals))
@@ -117,6 +123,6 @@ class TestConvergenceMetricsBundle:
     def test_matches_individual_ops(self):
         W = _sample_w(60, 8, seed=6)
         m = convergence_metrics(W)
-        assert m.mad == mad(deviation_matrix(W))
+        assert m.mad == mad(W - np.eye(8))
         assert m.lambda_ratio == lambda_ratio(W)
         assert m.diagonal_dominance == diagonal_dominance(W)

@@ -61,6 +61,16 @@ class TestSweepPoints:
         with pytest.raises(ConfigError, match=r"K >= 2.*\(4, 1\)"):
             sweep_points(s)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rho_f_rejected(self, value):
+        with pytest.raises(ConfigError, match="rho_f"):
+            sweep_points(_scenario(rho_f=value))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, value):
+        with pytest.raises(ConfigError, match="alpha"):
+            sweep_points(_scenario(alpha=value))
+
     def test_mode_field_exclusivity(self):
         with pytest.raises(ConfigError):
             sweep_points(Scenario(mode=FIXED_K, K=4, alpha=2.0, sweep=(8,)))
@@ -194,10 +204,10 @@ class TestDegenerateRetry:
     def test_single_retry_counted(self, monkeypatch):
         trials = 10
 
-        def flaky(M, K, beta, rng, correlation=None):
+        def flaky(M, K, rng, correlation=None):
             if rng.stream == 2:
                 raise SingularMatrixError("synthetic degenerate sample")
-            return sample_channel(M, K, beta, rng, correlation)
+            return sample_channel(M, K, rng, correlation)
 
         monkeypatch.setattr(mc, "sample_channel", flaky)
         p = run_scenario(_scenario(trials=trials)).points[0]
@@ -207,10 +217,10 @@ class TestDegenerateRetry:
     def test_second_failure_propagates(self, monkeypatch):
         trials = 10
 
-        def broken(M, K, beta, rng, correlation=None):
+        def broken(M, K, rng, correlation=None):
             if rng.stream in (2, trials + 2):
                 raise SingularMatrixError("synthetic degenerate sample")
-            return sample_channel(M, K, beta, rng, correlation)
+            return sample_channel(M, K, rng, correlation)
 
         monkeypatch.setattr(mc, "sample_channel", broken)
         with pytest.raises(SingularMatrixError):

@@ -60,6 +60,14 @@ class TestLinkGains:
         with pytest.raises(ValueError):
             link_gains(0, PROFILE_01_1)
 
+    @pytest.mark.parametrize("beta_min, beta_max, eta", [
+        (0.1, float("inf"), 0.5), (float("inf"), float("inf"), 0.5),
+        (float("nan"), 1.0, 0.5), (0.1, float("nan"), 0.5), (0.1, 1.0, float("nan")),
+    ])
+    def test_non_finite_rejected(self, beta_min, beta_max, eta):
+        with pytest.raises(ValueError):
+            PowerProfile(beta_min, beta_max, eta)
+
 
 class TestLimitingMoments:
     def test_constant_profile(self):

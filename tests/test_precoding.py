@@ -13,18 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimo_converge.channel import RngStream, apply_link_gains, sample_iid
+from mimo_converge.channel import RngStream, sample_iid
 from mimo_converge.numerics import gram_normalized
 from mimo_converge.power import PowerProfile, limiting_moments, link_gains
 from mimo_converge.precoding import (
-    SystemParams,
     mf_sinr_from_gram,
     mf_sinr_limit,
     zf_snr_from_gram,
     zf_snr_limit,
 )
 
-PARAMS_A10 = SystemParams(rho_f=1.0, alpha=10.0)
+RHO_F, ALPHA = 1.0, 10.0
 
 
 def _orthonormal_columns(M, K, scale=1.0):
@@ -89,17 +88,17 @@ class TestZfSnr:
 
 class TestZfSnrLimit:
     def test_equal_powers(self):
-        assert zf_snr_limit(PARAMS_A10, 1.0) == pytest.approx(9.0)
-        assert zf_snr_limit(SystemParams(1.0, 2.0), 1.0) == pytest.approx(1.0)
+        assert zf_snr_limit(RHO_F, ALPHA, 1.0) == pytest.approx(9.0)
+        assert zf_snr_limit(1.0, 2.0, 1.0) == pytest.approx(1.0)
 
     def test_decade_profile_is_log_ten(self):
         _, mean_inv_beta = limiting_moments(PowerProfile(0.1, 1.0))
-        assert zf_snr_limit(PARAMS_A10, mean_inv_beta) == pytest.approx(math.log(10), rel=1e-12)
-        assert zf_snr_limit(PARAMS_A10, 3.9087) == pytest.approx(2.3026, rel=1e-4)
+        assert zf_snr_limit(RHO_F, ALPHA, mean_inv_beta) == pytest.approx(math.log(10), rel=1e-12)
+        assert zf_snr_limit(RHO_F, ALPHA, 3.9087) == pytest.approx(2.3026, rel=1e-4)
 
     def test_alpha_at_most_one_rejected(self):
         with pytest.raises(ValueError):
-            zf_snr_limit(SystemParams(1.0, 1.0), 1.0)
+            zf_snr_limit(1.0, 1.0, 1.0)
 
 
 class TestMfGamma:
@@ -115,7 +114,7 @@ class TestMfGamma:
         beta = link_gains(K, PowerProfile(0.1, 1.0))
 
         def gamma_over_m(t):
-            G = apply_link_gains(sample_iid(M, K, RngStream(26, t)), beta)
+            G = sample_iid(M, K, RngStream(26, t)) * np.sqrt(beta)
             return gram_normalized(G, M).diagonal().real.mean()
 
         vals = [gamma_over_m(t) for t in range(trials)]
@@ -154,23 +153,23 @@ class TestMfSinr:
 
     def test_unit_gains_bitwise_equal_power_path(self):
         H = sample_iid(30, 6, RngStream(29))
-        G = apply_link_gains(H, np.ones(6))
+        G = H * np.sqrt(np.ones(6))
         assert np.array_equal(_mf_sinr(G), _mf_sinr(H))
         assert _zf_snr(G) == _zf_snr(H)
 
 
 class TestMfSinrLimit:
     def test_equal_powers(self):
-        assert mf_sinr_limit(PARAMS_A10, 1.0, 1.0) == pytest.approx(5.0)
+        assert mf_sinr_limit(RHO_F, ALPHA, 1.0, 1.0) == pytest.approx(5.0)
 
     def test_high_snr_ceiling_is_alpha(self):
-        limit = mf_sinr_limit(SystemParams(rho_f=1e9, alpha=10.0), 1.0, 1.0)
+        limit = mf_sinr_limit(1e9, 10.0, 1.0, 1.0)
         assert limit == pytest.approx(10.0, rel=1e-8)
 
     def test_unequal_decade_profile_user_one(self):
         beta = link_gains(10, PowerProfile(0.1, 1.0))
         mean_beta, _ = limiting_moments(PowerProfile(0.1, 1.0))
-        limit = mf_sinr_limit(PARAMS_A10, float(beta[0]), mean_beta)
+        limit = mf_sinr_limit(RHO_F, ALPHA, float(beta[0]), mean_beta)
         assert limit == pytest.approx(10.7454, rel=1e-3)
 
     def test_unequal_monte_carlo_approaches_per_user_limit(self):
@@ -183,17 +182,20 @@ class TestMfSinrLimit:
         M, trials = 500, 300
         mean_beta, _ = limiting_moments(profile)
         sinr_user3 = [
-            _mf_sinr(apply_link_gains(sample_iid(M, 50, RngStream(32, t)), beta))[2]
+            _mf_sinr(sample_iid(M, 50, RngStream(32, t)) * np.sqrt(beta))[2]
             for t in range(trials)
         ]
         assert np.mean(sinr_user3) == pytest.approx(10.7454, rel=0.10)
 
     def test_zf_exceeds_mf_at_large_alpha(self):
         for alpha in (5.0, 10.0, 50.0):
-            params = SystemParams(rho_f=1.0, alpha=alpha)
-            assert zf_snr_limit(params, 1.0) > mf_sinr_limit(params, 1.0, 1.0)
+            assert zf_snr_limit(1.0, alpha, 1.0) > mf_sinr_limit(1.0, alpha, 1.0, 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            mf_sinr_limit(PARAMS_A10, 0.0, 1.0)
+            mf_sinr_limit(RHO_F, ALPHA, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            mf_sinr_limit(RHO_F, ALPHA, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            zf_snr_limit(RHO_F, ALPHA, 0.0)
 
