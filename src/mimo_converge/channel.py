@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 # Rows per block of the correlation coloring. The block-local recursion is a
 # small matrix product, so BLAS does most of the work; 16 to 32 rows measured
 # fastest from 50 x 5 to 16384 x 50 (one thread, 2-CPU x86-64 VM).
@@ -27,18 +25,19 @@ class RngStream:
 
     Each pair keys an independent 128-bit Philox generator, so trials can be
     assigned stream = trial index and distributed over any number of workers
-    without coordination or loss of reproducibility.
+    without coordination or loss of reproducibility. seed and stream each
+    fill 64 bits of the key, so both must lie in [0, 2**64).
     """
 
     seed: int
     stream: int = 0
 
     def __post_init__(self):
-        if self.seed < 0 or self.stream < 0:
-            raise ValueError("seed and stream must be nonnegative")
+        if not (0 <= self.seed < 2**64 and 0 <= self.stream < 2**64):
+            raise ValueError(f"seed and stream must be in [0, 2**64), got {self.seed}, {self.stream}")
 
     def generator(self) -> np.random.Generator:
-        key = (self.seed & _MASK64) | ((self.stream & _MASK64) << 64)
+        key = self.seed | (self.stream << 64)
         return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -23,6 +23,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .channel import CorrelationSpec
 from .montecarlo import (
@@ -53,12 +54,7 @@ CSV_COLUMNS = [
     "degenerate_trials",
 ]
 
-# Keys a preset pins down; only seed, trials and run-level settings stay
-# overridable next to --preset.
-_SCENARIO_KEYS = (
-    "mode", "K", "M", "alpha", "rho-f", "corr-rho", "spacing",
-    "beta-min", "beta-max", "eta", "stats", "gram-source",
-)
+_STATS = ("metrics", "zf", "mf")
 
 
 @dataclass
@@ -77,85 +73,78 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_sweep(text: str) -> tuple[int, ...]:
     """Sweep grid: a single value, a comma list, or an inclusive a:b:step range."""
-    text = text.strip()
-    try:
-        if ":" in text:
-            parts = [int(p) for p in text.split(":")]
-            if len(parts) != 3:
-                raise ValueError
-            start, stop, step = parts
-            if step < 1 or stop < start:
-                raise ValueError
-            return tuple(range(start, stop + 1, step))
+    if ":" not in text:
         return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ConfigError(
-            f"cannot parse sweep {text!r}; use N, N1,N2,... or start:stop:step"
-        ) from None
+    start, stop, step = (int(p) for p in text.split(":"))
+    if step < 1 or stop < start:
+        raise ValueError
+    return tuple(range(start, stop + 1, step))
 
 
 def _parse_stats(text: str) -> tuple[str, ...]:
     parts = tuple(p.strip() for p in text.split(",") if p.strip())
-    allowed = ("metrics", "zf", "mf")
-    bad = [p for p in parts if p not in allowed]
-    if bad or not parts:
-        raise ConfigError(f"--stats takes a comma list from {allowed}, got {text!r}")
+    if not parts or any(p not in _STATS for p in parts):
+        raise ValueError
     return parts
 
 
-_VALUE_PARSERS = {
-    "preset": str,
-    "mode": str,
-    "K": _parse_sweep,
-    "M": _parse_sweep,
-    "alpha": float,
-    "rho-f": float,
-    "corr-rho": float,
-    "spacing": float,
-    "beta-min": float,
-    "beta-max": float,
-    "eta": float,
-    "trials": int,
-    "seed": int,
-    "workers": int,
-    "output": str,
-    "format": str,
-    "stats": _parse_stats,
-    "gram-source": str,
+class _Option(NamedTuple):
+    parse: Callable[[str], object]
+    choices: tuple[str, ...] | None
+    pinned: bool  # a preset sets it, so it cannot be combined with --preset
+    help: str
+
+
+# Every option, in --help order. A flag and a config-file line with the
+# same key go through the same _parse_value.
+_OPTIONS = {
+    "preset": _Option(str, tuple(sorted(PRESETS)), False, "figure-reproduction preset"),
+    "mode": _Option(str, (FIXED_K, FIXED_ALPHA), True, "sweep mode"),
+    "K": _Option(_parse_sweep, None, True, "fixed-K mode: one user count; fixed-alpha mode: K sweep (N, N1,N2,.. or a:b:step)"),
+    "M": _Option(_parse_sweep, None, True, "fixed-K mode: antenna-count sweep (N, N1,N2,.. or a:b:step)"),
+    "alpha": _Option(float, None, True, "fixed-alpha mode: antenna ratio M/K"),
+    "rho-f": _Option(float, None, True, "transmit SNR, linear scale (default 1.0)"),
+    "corr-rho": _Option(float, None, True, "ULA correlation decay constant (default: uncorrelated)"),
+    "spacing": _Option(float, None, True, "ULA inter-element distance unit (default 1.0)"),
+    "beta-min": _Option(float, None, True, "smallest link gain (with --beta-max; default: equal powers)"),
+    "beta-max": _Option(float, None, True, "largest link gain"),
+    "eta": _Option(float, None, True, "nominal gain-decay rate in (0,1); does not affect the gains"),
+    "trials": _Option(int, None, False, f"trials per sweep point (default {DEFAULT_TRIALS})"),
+    "seed": _Option(int, None, False, f"base RNG seed (default ${SEED_ENV_VAR} or {DEFAULT_SEED})"),
+    "workers": _Option(int, None, False, "worker threads, the only parallelism: BLAS runs single-threaded (default: CPUs this process may use)"),
+    "output": _Option(str, None, False, "output file path (default results.<format>)"),
+    "format": _Option(str, ("csv", "json"), False, "output format (default csv)"),
+    "stats": _Option(_parse_stats, None, True, "statistics to compute: comma list of metrics,zf,mf (default all)"),
+    "gram-source": _Option(str, ("H", "G"), True, "channel matrix the metrics Gram uses (default H)"),
 }
+
+
+def _parse_value(key: str, text: str):
+    """Check a flag or config-file value against the option's choices, then parse it."""
+    option = _OPTIONS[key]
+    if option.choices is not None and text not in option.choices:
+        raise ConfigError(f"unknown {key} {text!r}, expected one of {', '.join(option.choices)}")
+    try:
+        return option.parse(text)
+    except ValueError:
+        raise ConfigError(f"bad value {text!r} for {key!r}: {option.help}") from None
 
 
 def _build_argparser() -> _Parser:
     p = _Parser(prog="mimo-converge", description=__doc__.splitlines()[0])
-    p.add_argument("--preset", choices=sorted(PRESETS), help="figure-reproduction preset")
-    p.add_argument("--mode", choices=[FIXED_K, FIXED_ALPHA], help="sweep mode")
-    p.add_argument("--K", help="fixed-K mode: one user count; fixed-alpha mode: K sweep (N, N1,N2,.. or a:b:step)")
-    p.add_argument("--M", help="fixed-K mode: antenna-count sweep")
-    p.add_argument("--alpha", type=float, help="fixed-alpha mode: antenna ratio M/K")
-    p.add_argument("--rho-f", type=float, help="transmit SNR, linear scale (default 1.0)")
-    p.add_argument("--corr-rho", type=float, help="ULA correlation decay constant (default: uncorrelated)")
-    p.add_argument("--spacing", type=float, help="ULA inter-element distance unit (default 1.0)")
-    p.add_argument("--beta-min", type=float, help="smallest link gain (with --beta-max; default: equal powers)")
-    p.add_argument("--beta-max", type=float, help="largest link gain")
-    p.add_argument("--eta", type=float, help="nominal gain-decay rate in (0,1); does not affect the gains")
-    p.add_argument("--trials", type=int, help=f"trials per sweep point (default {DEFAULT_TRIALS})")
-    p.add_argument("--seed", type=int, help=f"base RNG seed (default ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-    p.add_argument("--workers", type=int, help="worker threads, the only parallelism: BLAS runs single-threaded (default: CPUs this process may use)")
-    p.add_argument("--output", help="output file path (default results.<format>)")
-    p.add_argument("--format", choices=["csv", "json"], help="output format (default csv)")
-    p.add_argument("--stats", help="statistics to compute: comma list of metrics,zf,mf (default all)")
-    p.add_argument("--gram-source", choices=["H", "G"], help="channel matrix the metrics Gram uses (default H)")
+    for key, option in _OPTIONS.items():
+        p.add_argument(f"--{key}", choices=option.choices, help=option.help)
     p.add_argument("--config", help="flat key=value config file mirroring the flag names")
     return p
 
 
 def _read_config_file(path: str) -> dict:
-    """Parse 'key = value' lines; keys mirror flag names, unknown keys are rejected."""
+    """Parse 'key = value' lines; keys mirror flag names, unknown and repeated keys are rejected."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    options = {}
+    options, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -163,30 +152,16 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _VALUE_PARSERS:
+        key = key.strip()
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}, first set on line {lines[key]}")
         try:
-            options[key] = _VALUE_PARSERS[key](value)
-        except ConfigError:
-            raise
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
-    return options
-
-
-def _flag_options(args: argparse.Namespace) -> dict:
-    """Explicitly provided flags, keyed by flag spelling."""
-    options = {}
-    for key in _VALUE_PARSERS:
-        value = getattr(args, key.replace("-", "_"))
-        if value is None:
-            continue
-        if key in ("K", "M"):
-            value = _parse_sweep(value)
-        elif key == "stats":
-            value = _parse_stats(value)
-        options[key] = value
+            options[key] = _parse_value(key, value.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        lines[key] = lineno
     return options
 
 
@@ -208,15 +183,19 @@ def _default_seed() -> int:
         raise ConfigError(f"{SEED_ENV_VAR}={raw!r} is not an integer seed") from None
 
 
+def _given(opt: dict, **fields: str) -> dict:
+    """Keyword arguments for the options the user set; the defaults stay with
+    Scenario, CorrelationSpec and PowerProfile."""
+    return {field: opt[key] for field, key in fields.items() if key in opt}
+
+
 def _manual_scenario(opt: dict, seed: int, trials: int) -> Scenario:
     mode = opt.get("mode")
     if mode is None:
         raise ConfigError("either --preset or --mode is required")
-    if mode not in (FIXED_K, FIXED_ALPHA):
-        raise ConfigError(f"unknown mode {mode!r}, expected {FIXED_K!r} or {FIXED_ALPHA!r}")
 
     if "corr-rho" in opt:
-        correlation = CorrelationSpec(opt["corr-rho"], opt.get("spacing", 1.0))
+        correlation = CorrelationSpec(opt["corr-rho"], **_given(opt, spacing="spacing"))
     elif "spacing" in opt:
         raise ConfigError("--spacing only applies together with --corr-rho")
     else:
@@ -225,25 +204,21 @@ def _manual_scenario(opt: dict, seed: int, trials: int) -> Scenario:
     if ("beta-min" in opt) != ("beta-max" in opt):
         raise ConfigError("--beta-min and --beta-max must be given together")
     if "beta-min" in opt:
-        profile = PowerProfile(opt["beta-min"], opt["beta-max"], opt.get("eta", 0.5))
+        profile = PowerProfile(opt["beta-min"], opt["beta-max"], **_given(opt, eta="eta"))
     elif "eta" in opt:
         raise ConfigError("--eta only applies together with --beta-min/--beta-max")
     else:
         profile = None
 
-    stats = opt.get("stats", ("metrics", "zf", "mf"))
-
     common = dict(
         correlation=correlation,
         profile=profile,
-        rho_f=opt.get("rho-f", 1.0),
         trials=trials,
         seed=seed,
-        compute_metrics="metrics" in stats,
-        compute_zf="zf" in stats,
-        compute_mf="mf" in stats,
-        gram_source=opt.get("gram-source", "H"),
+        **_given(opt, rho_f="rho-f", gram_source="gram-source"),
     )
+    if "stats" in opt:
+        common.update({f"compute_{name}": name in opt["stats"] for name in _STATS})
 
     if mode == FIXED_K:
         if "alpha" in opt:
@@ -261,20 +236,18 @@ def _manual_scenario(opt: dict, seed: int, trials: int) -> Scenario:
     return Scenario(mode=FIXED_ALPHA, alpha=opt["alpha"], sweep=opt["K"], **common)
 
 
-def parse_config(argv=None, config_file: str | None = None) -> RunConfig:
+def parse_config(argv=None) -> RunConfig:
     """Resolve flags, config file, preset and defaults into a RunConfig."""
     args = _build_argparser().parse_args(argv)
-    flag_opt = _flag_options(args)
-    file_path = args.config or config_file
-    file_opt = _read_config_file(file_path) if file_path else {}
+    file_opt = _read_config_file(args.config) if args.config else {}
+    flags = {key: getattr(args, key.replace("-", "_")) for key in _OPTIONS}
+    flag_opt = {key: _parse_value(key, text) for key, text in flags.items() if text is not None}
     opt = {**file_opt, **flag_opt}
 
     preset = opt.pop("preset", None)
     seed = opt.pop("seed", None)
     if seed is None:
         seed = _default_seed()
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
     trials = opt.pop("trials", DEFAULT_TRIALS)
     workers = opt.pop("workers", None)
     if workers is None:
@@ -282,13 +255,11 @@ def parse_config(argv=None, config_file: str | None = None) -> RunConfig:
     if workers < 1:
         raise ConfigError(f"workers must be positive, got {workers}")
     fmt = opt.pop("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown format {fmt!r}, expected csv or json")
     output = Path(opt.pop("output", f"results.{fmt}"))
 
     try:
         if preset is not None:
-            pinned = sorted(k for k in _SCENARIO_KEYS if k in opt)
+            pinned = sorted(k for k in opt if _OPTIONS[k].pinned)
             if pinned:
                 raise ConfigError(
                     f"--preset {preset} already determines {', '.join(pinned)}; "
@@ -297,9 +268,7 @@ def parse_config(argv=None, config_file: str | None = None) -> RunConfig:
             scenarios = build_preset(preset, seed=seed, trials=trials)
         else:
             scenarios = [_manual_scenario(opt, seed, trials)]
-    except ConfigError:
-        raise
-    except ValueError as exc:  # dataclass validation (rho range, profile bounds, ...)
+    except ValueError as exc:  # ConfigError, or dataclass validation (rho range, profile bounds, ...)
         raise ConfigError(str(exc)) from None
 
     return RunConfig(scenarios=scenarios, output=output, fmt=fmt, workers=workers, preset=preset)
@@ -399,22 +368,26 @@ def _print_summary(results: list[SweepResult]) -> None:
             print(f"[{label}] M={p.M} K={p.K}: " + "; ".join(parts) + extra)
 
 
+def _check_output(path: Path) -> None:
+    """Reject an output path that cannot become a file, before the first trial."""
+    if path.is_dir():
+        raise OSError(f"cannot write output file {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise OSError(f"cannot write output file {path}: {path.parent} is not a directory")
+
+
 def main(argv=None) -> int:
     try:
         config = parse_config(argv)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        _check_output(config.output)
         results = [run_scenario(s, workers=config.workers) for s in config.scenarios]
+        path = emit(results, config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SingularMatrixError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    try:
-        path = emit(results, config)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -102,9 +102,9 @@ def sweep_points(scenario: Scenario) -> list[tuple[int, int]]:
 
     The only check of a scenario's numbers; the trials trust them. Raises
     ConfigError before any computation on an invalid or infeasible
-    configuration: a non-finite rho_f or alpha, M <= K anywhere while ZF
-    is enabled, or M < K or K = 1 anywhere while the convergence metrics
-    are enabled.
+    configuration: a seed outside [0, 2**64), a non-finite rho_f or alpha,
+    M <= K anywhere while ZF is enabled, or M < K or K = 1 anywhere while
+    the convergence metrics are enabled.
     """
     s = scenario
     if s.mode not in (FIXED_K, FIXED_ALPHA):
@@ -113,8 +113,8 @@ def sweep_points(scenario: Scenario) -> list[tuple[int, int]]:
         raise ConfigError(f"trials must be positive, got {s.trials}")
     if not (math.isfinite(s.rho_f) and s.rho_f > 0):
         raise ConfigError(f"rho_f must be finite and positive, got {s.rho_f}")
-    if s.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {s.seed}")
+    if not 0 <= s.seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {s.seed}")
     if s.gram_source not in ("H", "G"):
         raise ConfigError(f"gram_source must be 'H' or 'G', got {s.gram_source!r}")
     if not (s.compute_metrics or s.compute_zf or s.compute_mf):

@@ -55,6 +55,16 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(seed=-1)
 
+    @pytest.mark.parametrize("seed, stream", [(2**64, 0), (0, 2**64)])
+    def test_rejects_beyond_64_bits(self, seed, stream):
+        # the key packs seed and stream into 64 bits each; wider values would alias
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            RngStream(seed, stream)
+
+    def test_key_holds_seed_low_and_stream_high(self):
+        key = RngStream(2**64 - 1, 5).generator().bit_generator.state["state"]["key"]
+        assert key.tolist() == [2**64 - 1, 5]
+
 
 class TestSampleIid:
     def test_shape_and_dtype(self):

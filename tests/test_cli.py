@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -188,6 +189,76 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown format"):
             parse_config(["--config", str(cfg)])
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preset = fig4\ntrials = 5\n# later\ntrials = 7\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:4: duplicate key 'trials', first set on line 2"):
+            parse_config(["--config", str(cfg)])
+
+
+_FIXED_K = ["--mode", "fixed-K", "--K", "4", "--M", "8,16"]
+
+# key -> (value, the other flags that make a complete configuration)
+_ONE_OF_EACH = {
+    "preset": ("fig4", []),
+    "mode": ("fixed-K", ["--K", "4", "--M", "8,16"]),
+    "K": ("4", ["--mode", "fixed-K", "--M", "8,16"]),
+    "M": ("8:24:8", ["--mode", "fixed-K", "--K", "4"]),
+    "alpha": ("10", ["--mode", "fixed-alpha", "--K", "2,4"]),
+    "rho-f": ("2.5", _FIXED_K),
+    "corr-rho": ("0.5", _FIXED_K),
+    "spacing": ("2", [*_FIXED_K, "--corr-rho", "0.5"]),
+    "beta-min": ("0.2", [*_FIXED_K, "--beta-max", "0.8"]),
+    "beta-max": ("0.8", [*_FIXED_K, "--beta-min", "0.2"]),
+    "eta": ("0.3", [*_FIXED_K, "--beta-min", "0.2", "--beta-max", "0.8"]),
+    "trials": ("7", _FIXED_K),
+    "seed": ("9", _FIXED_K),
+    "workers": (str((os.cpu_count() or 1) + 1), _FIXED_K),  # above the default
+    "output": ("x.json", _FIXED_K),
+    "format": ("json", _FIXED_K),
+    "stats": ("zf,mf", _FIXED_K),
+    "gram-source": ("G", _FIXED_K),
+}
+
+
+class TestOptionTable:
+    """Flags and config-file lines are two spellings of the same options."""
+
+    def test_every_option_has_a_case(self):
+        assert list(_ONE_OF_EACH) == list(cli._OPTIONS)
+
+    @pytest.mark.parametrize("key", list(_ONE_OF_EACH))
+    def test_flag_and_file_line_agree(self, key, tmp_path):
+        value, others = _ONE_OF_EACH[key]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        from_flag = parse_config([*others, f"--{key}", value])
+        assert parse_config([*others, "--config", str(cfg)]) == from_flag
+        try:
+            without = parse_config(others)
+        except ConfigError:
+            without = None
+        assert without != from_flag  # the value took effect
+
+    @pytest.mark.parametrize("key, value", [("gram-source", "X"), ("format", "xml"), ("mode", "bogus")])
+    def test_value_outside_choices_rejected(self, key, value, tmp_path):
+        others = ["--K", "4", "--M", "8,16"] if key == "mode" else _FIXED_K
+        with pytest.raises(ConfigError, match=key):
+            parse_config([*others, f"--{key}", value])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"run\\.cfg:1: unknown {key} '{value}'"):
+            parse_config([*others, "--config", str(cfg)])
+
+    def test_bad_flag_value_names_the_option(self):
+        with pytest.raises(ConfigError, match=r"bad value '1:x' for 'K'.*a:b:step"):
+            parse_config(["--mode", "fixed-alpha", "--alpha", "2", "--K", "1:x"])
+
+    def test_readme_flag_list_is_the_table(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        flags = readme.read_text().split("\nFlags:", 1)[1].split("\n\n", 1)[0]
+        assert re.findall(r"`(--[\w-]+)`", flags) == [f"--{key}" for key in cli._OPTIONS] + ["--config"]
+
 
 def _tiny_config(tmp_path, fmt="csv", **kw):
     argv = [
@@ -349,6 +420,24 @@ class TestMainExitCodes:
         assert code == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_seed_beyond_64_bits_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # a Philox key holds 64 seed bits; 2**64 must not alias seed 0
+        monkeypatch.setattr("mimo_converge.montecarlo.sample_channel", _no_trials)
+        out = tmp_path / "r.csv"
+        code = main([*_FIXED_K, "--seed", str(2**64), "--trials", "2", "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("output", ["", ".", "nodir/x.csv"], ids=["empty", "directory", "missing-parent"])
+    def test_unwritable_output_fails_before_trials(self, output, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("mimo_converge.montecarlo.sample_channel", _no_trials)
+        monkeypatch.chdir(tmp_path)
+        code = main([*_FIXED_K, "--trials", "2", "--output", output])
+        assert code == EXIT_IO
+        assert f"I/O error: cannot write output file {Path(output)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_numerical_failure_exit(self, tmp_path, monkeypatch, capsys):
         def explode(scenario, workers=1):

@@ -71,6 +71,11 @@ class TestSweepPoints:
         with pytest.raises(ConfigError, match="alpha"):
             sweep_points(_scenario(alpha=value))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            sweep_points(_scenario(seed=seed))
+
     def test_mode_field_exclusivity(self):
         with pytest.raises(ConfigError):
             sweep_points(Scenario(mode=FIXED_K, K=4, alpha=2.0, sweep=(8,)))
