@@ -37,7 +37,7 @@ class RngStream:
             raise ValueError(f"seed and stream must be in [0, 2**64), got {self.seed}, {self.stream}")
 
     def generator(self) -> np.random.Generator:
-        key = self.seed | (self.stream << 64)
+        key = int(self.seed) | (int(self.stream) << 64)  # numpy integers would overflow
         return np.random.Generator(np.random.Philox(key=key))
 
 

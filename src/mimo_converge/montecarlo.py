@@ -13,15 +13,16 @@ trial-ordered arrays.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import CorrelationSpec, RngStream, sample_channel
-from .metrics import convergence_metrics
+from .metrics import diagonal_dominance, lambda_ratio, mad
 from .numerics import SingularMatrixError, gram_normalized, single_threaded_blas
-from .power import PowerProfile, link_gains, profile_moments
+from .power import PowerProfile, limiting_moments, link_gains
 from .precoding import mf_sinr_from_gram, mf_sinr_limit, zf_snr_from_gram, zf_snr_limit
 
 FIXED_K = "fixed-K"
@@ -29,6 +30,10 @@ FIXED_ALPHA = "fixed-alpha"
 
 DEFAULT_SEED = 12345
 DEFAULT_TRIALS = 1000
+
+# Byte cap of one stack of K x K complex Grams: the stacked statistics pay
+# their call overhead once per stack, and a stack stays small next to a draw.
+_STACK_BYTES = 2**18
 
 
 class ConfigError(ValueError):
@@ -102,13 +107,19 @@ def sweep_points(scenario: Scenario) -> list[tuple[int, int]]:
 
     The only check of a scenario's numbers; the trials trust them. Raises
     ConfigError before any computation on an invalid or infeasible
-    configuration: a seed outside [0, 2**64), a non-finite rho_f or alpha,
-    M <= K anywhere while ZF is enabled, or M < K or K = 1 anywhere while
-    the convergence metrics are enabled.
+    configuration: a K, sweep value, trial count or seed operator.index
+    rejects, a seed outside [0, 2**64), a non-finite rho_f or alpha, M <= K
+    anywhere while ZF is enabled, or M < K or K = 1 anywhere while the
+    convergence metrics are enabled.
     """
     s = scenario
     if s.mode not in (FIXED_K, FIXED_ALPHA):
         raise ConfigError(f"unknown mode {s.mode!r}, expected {FIXED_K!r} or {FIXED_ALPHA!r}")
+    try:
+        for value in (s.trials, s.seed, *s.sweep, *(() if s.K is None else (s.K,))):
+            operator.index(value)
+    except TypeError:
+        raise ConfigError(f"K, the sweep values, trials and seed must be integers, got {value!r}") from None
     if s.trials < 1:
         raise ConfigError(f"trials must be positive, got {s.trials}")
     if not (math.isfinite(s.rho_f) and s.rho_f > 0):
@@ -174,52 +185,72 @@ def _summary(values: np.ndarray, limit: float | None = None) -> StatSummary:
 def _run_point(scenario: Scenario, M: int, K: int, workers: int) -> SweepPoint:
     s = scenario
     T = s.trials
-    beta = link_gains(K, s.profile) if s.profile is not None else np.ones(K)
+    profile = s.profile or PowerProfile(1.0, 1.0)  # no profile: unit gains
+    beta = link_gains(K, profile)
     sqrt_beta = np.sqrt(beta) if s.profile is not None else None
 
     need_gram_g = s.compute_zf or s.compute_mf or (s.compute_metrics and s.gram_source == "G")
+    # Allocated before any worker starts; each worker writes its own rows.
     cols: dict[str, np.ndarray] = {}
     if s.compute_metrics:
         for name in ("mad", "lambda_ratio", "diagonal_dominance"):
             cols[name] = np.empty(T)
     if s.compute_zf:
         cols["zf_snr"] = np.empty(T)
-    mf_values = np.empty((T, K)) if s.compute_mf else None
+    if s.compute_mf:
+        cols["mf_sinr"] = np.empty((T, K))
     degenerate = np.zeros(T, dtype=bool)
+    # Trials per stack: within the byte cap, and every worker gets a stack.
+    chunk = max(1, min(_STACK_BYTES // (16 * K * K), -(-T // max(1, workers))))
 
-    def one_trial(t: int, stream: int) -> None:
-        H = sample_channel(M, K, RngStream(s.seed, stream), s.correlation)
-        G = H if sqrt_beta is None else H * sqrt_beta
-        gram_g = gram_normalized(G, 1.0) if need_gram_g else None
+    def run_stack(rows: slice, stream_offset: int = 0) -> None:
+        """Draw the trials of rows, trial t on stream t + stream_offset, and
+        write each statistic of their stacked K x K Grams to cols[rows]. A
+        slice of a stack gets the same bits as a stack of one; one degenerate
+        trial raises SingularMatrixError for the whole stack."""
+        gram_g = np.empty((rows.stop - rows.start, K, K), dtype=np.complex128)
+        gram_h = np.empty_like(gram_g)
+        for i, t in enumerate(range(rows.start, rows.stop)):
+            H = sample_channel(M, K, RngStream(s.seed, t + stream_offset), s.correlation)
+            G = H if sqrt_beta is None else H * sqrt_beta
+            if need_gram_g:
+                gram_g[i] = gram_normalized(G, 1.0)
+            if s.compute_metrics and s.gram_source == "H":
+                gram_h[i] = gram_normalized(H, M)
+            del H, G  # free this draw before the next, so a worker holds one at a time
         if s.compute_metrics:
-            W = gram_g / M if s.gram_source == "G" else gram_normalized(H, M)
-            m = convergence_metrics(W)
-            cols["mad"][t] = m.mad
-            cols["lambda_ratio"][t] = m.lambda_ratio
-            cols["diagonal_dominance"][t] = m.diagonal_dominance
+            W = gram_g / M if s.gram_source == "G" else gram_h
+            cols["mad"][rows] = mad(W - np.eye(K))
+            cols["lambda_ratio"][rows] = lambda_ratio(W)
+            cols["diagonal_dominance"][rows] = diagonal_dominance(W)
         if s.compute_zf:
-            cols["zf_snr"][t] = zf_snr_from_gram(gram_g, s.rho_f)
-        if mf_values is not None:
-            mf_values[t] = mf_sinr_from_gram(gram_g, s.rho_f)
+            cols["zf_snr"][rows] = zf_snr_from_gram(gram_g, s.rho_f)
+        if s.compute_mf:
+            cols["mf_sinr"][rows] = mf_sinr_from_gram(gram_g, s.rho_f)
 
-    def run_trial(t: int) -> None:
+    def run_chunk(start: int) -> None:
+        rows = slice(start, min(start + chunk, T))
         try:
-            one_trial(t, stream=t)
+            run_stack(rows)
         except SingularMatrixError:
-            # One retry on a fresh stream, offset past all primary streams so
-            # it cannot collide with another trial's draw.
-            degenerate[t] = True
-            one_trial(t, stream=T + t)
+            # Find the degenerate trials one at a time. Each gets one retry on
+            # a stream past all primary streams, so no two draws collide.
+            for t in range(start, rows.stop):
+                try:
+                    run_stack(slice(t, t + 1))
+                except SingularMatrixError:
+                    degenerate[t] = True
+                    run_stack(slice(t, t + 1), stream_offset=T)
 
     if workers <= 1:
-        for t in range(T):
-            run_trial(t)
+        for start in range(0, T, chunk):
+            run_chunk(start)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_trial, range(T)))
+            list(pool.map(run_chunk, range(0, T, chunk)))
 
     alpha_pt = M / K
-    mean_beta, mean_inv_beta = profile_moments(s.profile)
+    mean_beta, mean_inv_beta = limiting_moments(profile)
     has_limits = alpha_pt > 1
 
     stats: dict[str, StatSummary] = {}
@@ -229,18 +260,16 @@ def _run_point(scenario: Scenario, M: int, K: int, workers: int) -> SweepPoint:
     if s.compute_zf:
         limit = zf_snr_limit(s.rho_f, alpha_pt, mean_inv_beta) if has_limits else None
         stats["zf_snr"] = _summary(cols["zf_snr"], limit)
-    if mf_values is not None:
+    if s.compute_mf:
         user_limits = (
             [mf_sinr_limit(s.rho_f, alpha_pt, float(b), mean_beta) for b in beta]
             if has_limits
-            else None
+            else [None] * K
         )
-        mean_limit = float(np.mean(user_limits)) if user_limits is not None else None
-        stats["mf_sinr_mean"] = _summary(mf_values.mean(axis=1), mean_limit)
+        mean_limit = float(np.mean(user_limits)) if has_limits else None
+        stats["mf_sinr_mean"] = _summary(cols["mf_sinr"].mean(axis=1), mean_limit)
         for i in range(K):
-            stats[f"mf_sinr_user_{i + 1:03d}"] = _summary(
-                mf_values[:, i], user_limits[i] if user_limits is not None else None
-            )
+            stats[f"mf_sinr_user_{i + 1:03d}"] = _summary(cols["mf_sinr"][:, i], user_limits[i])
 
     return SweepPoint(
         M=M,

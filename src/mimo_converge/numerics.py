@@ -22,12 +22,6 @@ import numpy as np
 # orders of magnitude above this.
 SINGULAR_RTOL = 1e-12
 
-# Thread-count getter and setter exported by the 64-bit-integer OpenBLAS
-# that numpy bundles, the only BLAS the simulator calls.
-_BUNDLED_OPENBLAS = (
-    (np, "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-)
-
 # The thread count is process-wide native state, so overlapping pins from
 # several threads share one saved state: the first entry saves and pins,
 # the last exit restores.
@@ -42,28 +36,26 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 @functools.cache
 def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
-    """(get, set) thread-count functions of every bundled OpenBLAS found.
+    """(get, set) thread-count functions of the OpenBLAS that numpy bundles.
 
-    Looked up once per process on first use: the libraries sit in the
-    ``<package>.libs`` directory that auditwheel places next to the package.
+    numpy's 64-bit-integer OpenBLAS is the only BLAS the simulator calls.
+    It is looked up once per process on first use, in the ``numpy.libs``
+    directory that auditwheel places next to the package.
     """
     controls = []
-    for package, get_name, set_name in _BUNDLED_OPENBLAS:
-        libs_dir = os.path.dirname(package.__file__) + ".libs"
-        for path in sorted(glob.glob(os.path.join(libs_dir, "*openblas*.so*"))):
-            try:
-                lib = ctypes.CDLL(path)
-            except OSError:
-                continue
-            get_threads = getattr(lib, get_name, None)
-            set_threads = getattr(lib, set_name, None)
-            if get_threads is None or set_threads is None:
-                continue
-            get_threads.argtypes = []
-            get_threads.restype = ctypes.c_int
-            set_threads.argtypes = [ctypes.c_int]
-            set_threads.restype = None
-            controls.append((get_threads, set_threads))
+    libs_dir = os.path.dirname(np.__file__) + ".libs"
+    for path in sorted(glob.glob(os.path.join(libs_dir, "*openblas*.so*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):  # not loadable, or not numpy's OpenBLAS
+            continue
+        get_threads.argtypes = []
+        get_threads.restype = ctypes.c_int
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        controls.append((get_threads, set_threads))
     return tuple(controls)
 
 
@@ -94,37 +86,37 @@ def single_threaded_blas():
                     set_threads(n)
 
 
-def _mirror_hermitian(B: np.ndarray) -> np.ndarray:
-    """Rebuild B from its lower triangle so Hermitian symmetry is exact."""
-    low = np.tril(B, -1)
-    return low + low.conj().T + np.diag(B.diagonal().real)
-
-
 def gram_normalized(A: np.ndarray, scale: float) -> np.ndarray:
     """Scaled Hermitian Gram matrix conj(A).T @ A / scale, for scale > 0.
 
     The result is exactly Hermitian PSD with a real nonnegative diagonal;
     its dimension is the column count of A.
     """
-    return _mirror_hermitian((A.conj().T @ A) / scale)
+    B = (A.conj().T @ A) / scale
+    # Rebuild B from its lower triangle so Hermitian symmetry is exact.
+    low = np.tril(B, -1)
+    return low + low.conj().T + np.diag(B.diagonal().real)
 
 
-def inverse_trace(W: np.ndarray) -> float:
+def inverse_trace(W: np.ndarray) -> np.ndarray:
     """Trace of the inverse of a Hermitian positive definite matrix.
 
+    One trace per matrix of W, a matrix or a stack of shape (..., K, K).
     Cholesky based: for W = L L^H, tr(W^{-1}) equals the squared Frobenius
     norm of L^{-1}. Numerically singular input is rejected through the
     bound ||W||_1 tr(W^{-1}), which lies within a factor of the dimension
     of the 1-norm condition number and costs nothing extra; an infinite or
-    NaN bound counts as singular too.
+    NaN bound counts as singular too, and one such matrix rejects a stack.
     """
     try:
         L_inv = np.linalg.inv(np.linalg.cholesky(W))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"matrix is not positive definite: {exc}") from exc
     with np.errstate(over="ignore"):
-        trace = float(np.sum(np.abs(L_inv) ** 2))
-        cond = float(np.linalg.norm(W, 1)) * trace
-    if not cond * SINGULAR_RTOL <= 1.0:
-        raise SingularMatrixError(f"matrix is numerically singular (condition bound {cond:.3e})")
+        trace = np.sum(np.abs(L_inv) ** 2, axis=(-2, -1))
+        cond = np.linalg.norm(W, 1, axis=(-2, -1)) * trace
+    if not np.all(cond * SINGULAR_RTOL <= 1.0):
+        raise SingularMatrixError(
+            f"matrix is numerically singular (condition bound {np.max(cond):.3e})"
+        )
     return trace

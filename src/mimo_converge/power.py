@@ -46,8 +46,6 @@ def link_gains(K: int, profile: PowerProfile) -> np.ndarray:
     """
     if K < 1:
         raise ValueError(f"K must be positive, got {K}")
-    if profile.beta_min == profile.beta_max:
-        return np.full(K, float(profile.beta_max))
     j = np.arange(1, K + 1)
     ratio = profile.beta_min / profile.beta_max
     return profile.beta_max * ratio ** ((2 * j - 1) / (2 * K))
@@ -65,10 +63,3 @@ def limiting_moments(profile: PowerProfile) -> tuple[float, float]:
         return float(lo), 1.0 / lo
     log_ratio = math.log(hi / lo)
     return (hi - lo) / log_ratio, (1.0 / lo - 1.0 / hi) / log_ratio
-
-
-def profile_moments(profile: PowerProfile | None) -> tuple[float, float]:
-    """Moments used by the asymptotic limits; equal powers give (1, 1)."""
-    if profile is None:
-        return 1.0, 1.0
-    return limiting_moments(profile)

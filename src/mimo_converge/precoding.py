@@ -4,7 +4,8 @@ Both precoders are normalized to unit average transmit power via a constant
 gamma computed from the channel Gram matrix. Zero forcing nulls inter-user
 interference, so each user sees a common SNR; the matched filter keeps the
 interference, so each user sees an individual SINR. All values are linear
-scale; averaging in dB would change the statistic.
+scale; averaging in dB would change the statistic. The per-realization
+functions take one K x K Gram or a stack of shape (..., K, K).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from .numerics import inverse_trace
 
 
-def zf_snr_from_gram(gram: np.ndarray, rho_f: float) -> float:
+def zf_snr_from_gram(gram: np.ndarray, rho_f: float) -> np.ndarray:
     """ZF per-user SNR given the precomputed K x K column Gram of G."""
     return rho_f / inverse_trace(gram)
 
@@ -29,19 +30,18 @@ def zf_snr_limit(rho_f: float, alpha: float, mean_inv_beta: float) -> float:
 
 
 def mf_sinr_from_gram(gram: np.ndarray, rho_f: float) -> np.ndarray:
-    """MF per-user SINR given the precomputed K x K column Gram of G.
+    """MF per-user SINR, shape (..., K), given the K x K column Gram of G.
 
     Signal power for user i is |gram_ii|^2 and the interference is
-    sum_{k != i} |gram_ik|^2, both manifestly real and nonnegative.
+    sum_{k != i} |gram_ik|^2, both manifestly real and nonnegative. A
+    random draw has a nonzero Gram, so the normalization gamma is positive.
     """
-    K = gram.shape[0]
-    gamma = float(gram.diagonal().real.sum()) / K
-    if gamma <= 0.0:
-        raise ValueError("G must be nonzero")
-    c = rho_f / (K * gamma)
+    K = gram.shape[-1]
+    gamma = np.diagonal(gram, axis1=-2, axis2=-1).real.sum(axis=-1) / K
+    c = (rho_f / (K * gamma))[..., np.newaxis]
     power = np.abs(gram) ** 2
-    signal = power.diagonal()
-    interference = power.sum(axis=1) - signal
+    signal = np.diagonal(power, axis1=-2, axis2=-1)
+    interference = power.sum(axis=-1) - signal
     return c * signal / (1.0 + c * interference)
 
 

@@ -449,6 +449,29 @@ class TestMainExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
 
+class TestModuleEntryPoint:
+    def _run(self, *args):
+        env = dict(os.environ)
+        src = str(Path(mimo_converge.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "mimo_converge.cli", *args],
+                              env=env, capture_output=True, text=True, timeout=300)
+
+    def test_config_error_exits_2(self):
+        done = self._run("--mode", "fixed-K", "--K", "4", "--M", "8",
+                         "--seed", "18446744073709551616")
+        assert done.returncode == EXIT_CONFIG
+        assert "configuration error" in done.stderr
+
+    def test_one_trial_run_writes_its_file(self, tmp_path):
+        out = tmp_path / "one.csv"
+        done = self._run("--mode", "fixed-K", "--K", "4", "--M", "8", "--trials", "1",
+                         "--workers", "1", "--output", str(out))
+        assert done.returncode == EXIT_OK, done.stderr
+        header, *rows = out.read_text().splitlines()
+        assert header == ",".join(cli.CSV_COLUMNS) and rows
+
+
 class TestByteReproducibility:
     def test_same_seed_same_bytes_any_workers(self, tmp_path):
         paths = [tmp_path / f"run{i}.csv" for i in range(3)]

@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimo_converge.channel import RngStream, sample_iid
-from mimo_converge.metrics import (
-    convergence_metrics,
-    diagonal_dominance,
-    lambda_ratio,
-    mad,
-)
+from mimo_converge.metrics import diagonal_dominance, lambda_ratio, mad
 from mimo_converge.numerics import SingularMatrixError, gram_normalized
 
 
@@ -22,23 +17,23 @@ def _sample_w(M, K, seed):
 
 
 def _deviation(W):
-    """E = W - I, as convergence_metrics forms it."""
+    """E = W - I, as the sweep harness forms it before taking the MAD."""
     return W - np.eye(W.shape[0])
 
 
 class TestDeviationMatrix:
-    """The deviation E = W - I that convergence_metrics takes the MAD of."""
+    """The deviation E = W - I that the sweep harness takes the MAD of."""
 
     def test_identity_gives_zero(self):
-        assert convergence_metrics(np.eye(3)).mad == 0.0
+        assert mad(_deviation(np.eye(3))) == 0.0
 
     def test_diagonal(self):
         # E = diag(0.1, -0.1): two entries of magnitude 0.1 among four
-        assert convergence_metrics(np.diag([1.1, 0.9])).mad == pytest.approx(0.05)
+        assert mad(_deviation(np.diag([1.1, 0.9]))) == pytest.approx(0.05)
 
     def test_entries_shrink_with_m(self):
-        small = convergence_metrics(_sample_w(500, 50, seed=1)).mad
-        large = convergence_metrics(_sample_w(8000, 50, seed=1)).mad
+        small = mad(_deviation(_sample_w(500, 50, seed=1)))
+        large = mad(_deviation(_sample_w(8000, 50, seed=1)))
         assert large < small
 
 
@@ -113,16 +108,6 @@ class TestFormEquivalence:
         W = gram_normalized(H, 25)
         W_alt = (H.T @ H.conj()) / 25
         np.testing.assert_allclose(W_alt, W.conj(), atol=1e-12)
-        m, m_alt = convergence_metrics(W), convergence_metrics(W_alt)
-        assert m_alt.mad == pytest.approx(m.mad, rel=1e-12)
-        assert m_alt.lambda_ratio == pytest.approx(m.lambda_ratio, rel=1e-9)
-        assert m_alt.diagonal_dominance == pytest.approx(m.diagonal_dominance, rel=1e-12)
-
-
-class TestConvergenceMetricsBundle:
-    def test_matches_individual_ops(self):
-        W = _sample_w(60, 8, seed=6)
-        m = convergence_metrics(W)
-        assert m.mad == mad(W - np.eye(8))
-        assert m.lambda_ratio == lambda_ratio(W)
-        assert m.diagonal_dominance == diagonal_dominance(W)
+        assert mad(_deviation(W_alt)) == pytest.approx(mad(_deviation(W)), rel=1e-12)
+        assert lambda_ratio(W_alt) == pytest.approx(lambda_ratio(W), rel=1e-9)
+        assert diagonal_dominance(W_alt) == pytest.approx(diagonal_dominance(W), rel=1e-12)

@@ -1,10 +1,13 @@
 """Sweep-harness tests: reproducibility, aggregation, validation, retry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import mimo_converge.montecarlo as mc
-from mimo_converge.channel import CorrelationSpec, sample_channel
+from mimo_converge.channel import CorrelationSpec, RngStream, sample_channel, sample_iid
+from mimo_converge.metrics import diagonal_dominance, lambda_ratio, mad
 from mimo_converge.montecarlo import (
     FIXED_ALPHA,
     FIXED_K,
@@ -17,14 +20,18 @@ from mimo_converge.montecarlo import (
     run_scenario,
     sweep_points,
 )
-from mimo_converge.numerics import SingularMatrixError
-from mimo_converge.power import PowerProfile
+from mimo_converge.numerics import SingularMatrixError, gram_normalized, inverse_trace
+from mimo_converge.power import PowerProfile, link_gains
+from mimo_converge.precoding import mf_sinr_from_gram, zf_snr_from_gram
 
 
 def _scenario(**kw):
     base = dict(mode=FIXED_ALPHA, alpha=10.0, sweep=(10,), trials=50, seed=1)
     base.update(kw)
     return Scenario(**base)
+
+
+_FIXED_K_BASE = dict(mode=FIXED_K, K=4, sweep=(16,), trials=3, seed=1)
 
 
 class TestSweepPoints:
@@ -75,6 +82,24 @@ class TestSweepPoints:
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ConfigError, match="seed"):
             sweep_points(_scenario(seed=seed))
+
+    @pytest.mark.parametrize("field", [
+        dict(K=4.5), dict(sweep=(16.7,)), dict(sweep=(8, 16.0)),
+        dict(trials=3.5), dict(seed=1.5), dict(seed="7"),
+    ])
+    def test_non_integer_rejected(self, field):
+        s = Scenario(**{**_FIXED_K_BASE, **field})
+        with pytest.raises(ConfigError, match="must be integers"):
+            sweep_points(s)
+
+    @pytest.mark.parametrize("numpy_field, plain_field", [
+        (dict(K=np.int64(4), sweep=(np.int32(16),)), dict(K=4, sweep=(16,))),
+        (dict(trials=np.int16(3)), dict(trials=3)),
+        (dict(seed=np.uint64(5)), dict(seed=5)),
+    ])
+    def test_numpy_integers_accepted(self, numpy_field, plain_field):
+        numpy_run = run_scenario(Scenario(**{**_FIXED_K_BASE, **numpy_field}))
+        assert numpy_run == run_scenario(Scenario(**{**_FIXED_K_BASE, **plain_field}))
 
     def test_mode_field_exclusivity(self):
         with pytest.raises(ConfigError):
@@ -233,3 +258,85 @@ class TestDegenerateRetry:
 
     def test_clean_runs_report_zero(self):
         assert run_scenario(_scenario(trials=20)).points[0].degenerate_trials == 0
+
+
+def _gram_stack(M, K, trials, seed):
+    beta = link_gains(K, PowerProfile(0.1, 1.0))
+    return np.stack([
+        gram_normalized(sample_iid(M, K, RngStream(seed, t)) * np.sqrt(beta), 1.0)
+        for t in range(trials)
+    ])
+
+
+STACKED_STATISTICS = {
+    "mad": lambda W: mad(W - np.eye(W.shape[-1])),
+    "lambda_ratio": lambda_ratio,
+    "diagonal_dominance": diagonal_dominance,
+    "inverse_trace": inverse_trace,
+    "zf_snr": lambda W: zf_snr_from_gram(W, 2.0),
+    "mf_sinr": lambda W: mf_sinr_from_gram(W, 2.0),
+}
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("K", [5, 20, 100, 256])
+    @pytest.mark.parametrize("name", sorted(STACKED_STATISTICS))
+    def test_stack_slice_bitwise_equals_single_matrix(self, name, K):
+        stat = STACKED_STATISTICS[name]
+        stack = _gram_stack(2 * K, K, trials=3, seed=K)
+        stacked = stat(stack)
+        for i in range(stack.shape[0]):
+            assert stacked[i].tobytes() == stat(stack[i]).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("scenario", [
+        Scenario(mode=FIXED_ALPHA, alpha=2.0, sweep=(5, 20, 50), trials=13, seed=3,
+                 profile=PowerProfile(0.1, 1.0), compute_metrics=False),
+        Scenario(mode=FIXED_K, K=8, sweep=(16, 64), trials=13, seed=4,
+                 correlation=CorrelationSpec(0.9), profile=PowerProfile(0.2, 1.0),
+                 gram_source="G", compute_zf=False, compute_mf=False),
+    ], ids=["precoder", "correlated-metrics-G"])
+    def test_results_independent_of_stack_size(self, scenario, workers, monkeypatch):
+        stacked = run_scenario(scenario, workers=workers)
+        monkeypatch.setattr(mc, "_STACK_BYTES", 1)  # one trial per stack
+        assert run_scenario(scenario, workers=workers) == stacked
+
+    def test_singular_gram_inside_a_stack_is_retried_once(self, monkeypatch):
+        trials = 10
+        draws = []
+
+        def zero_column(M, K, rng, correlation=None):
+            draws.append(rng.stream)
+            H = sample_channel(M, K, rng, correlation)
+            if rng.stream == 2:
+                H[:, 1] = 0.0
+            return H
+
+        def replaced(M, K, rng, correlation=None):
+            # the draw that the retry of trial 2 makes, in slot 2
+            stream = trials + 2 if rng.stream == 2 else rng.stream
+            return sample_channel(M, K, RngStream(rng.seed, stream), correlation)
+
+        s = _scenario(trials=trials)
+        monkeypatch.setattr(mc, "sample_channel", zero_column)
+        retried = run_scenario(s).points[0]
+        assert retried.degenerate_trials == 1
+        assert draws.count(2) == 2 and draws.count(trials + 2) == 1
+        monkeypatch.setattr(mc, "sample_channel", replaced)
+        clean = run_scenario(s).points[0]
+        assert clean.degenerate_trials == 0
+        assert retried.stats == clean.stats
+
+    def test_one_draw_alive_at_a_time(self):
+        # one 16384 x 50 draw is M*K*16 bytes; the Gram of a draw briefly
+        # holds a conjugate copy, but the previous draw must be gone
+        M, K = 16384, 50
+        s = Scenario(mode=FIXED_K, K=K, sweep=(M,), trials=6, seed=1,
+                     compute_zf=False, compute_mf=False)
+        tracemalloc.start()
+        try:
+            run_scenario(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * M * K * 16

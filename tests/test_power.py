@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimo_converge.power import PowerProfile, limiting_moments, link_gains, profile_moments
+from mimo_converge.power import PowerProfile, limiting_moments, link_gains
 
 PROFILE_01_1 = PowerProfile(beta_min=0.1, beta_max=1.0)
 
@@ -104,6 +104,7 @@ class TestLimitingMoments:
         assert gaps_mean[0] > gaps_mean[1] > gaps_mean[2]
         assert gaps_inv[0] > gaps_inv[1] > gaps_inv[2]
 
-    def test_profile_moments_equal_powers(self):
-        assert profile_moments(None) == (1.0, 1.0)
-        assert profile_moments(PROFILE_01_1) == limiting_moments(PROFILE_01_1)
+    def test_unit_profile_stands_for_equal_powers(self):
+        # the sweep harness runs a scenario without a profile on unit gains
+        assert limiting_moments(PowerProfile(1.0, 1.0)) == (1.0, 1.0)
+        assert link_gains(7, PowerProfile(1.0, 1.0)).tolist() == [1.0] * 7
