@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .channel import CorrelationSpec
 from .montecarlo import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -38,8 +37,7 @@ from .montecarlo import (
     run_scenario,
 )
 from .numerics import SingularMatrixError
-from .power import PowerProfile
-from .presets import PRESETS, build_preset
+from .presets import PRESETS, STATS, build_preset, scenario_from_options
 
 SEED_ENV_VAR = "MIMO_CONVERGE_SEED"
 
@@ -53,8 +51,6 @@ CSV_COLUMNS = [
     "limit", "seed", "rho_f", "corr_rho", "beta_min", "beta_max",
     "degenerate_trials",
 ]
-
-_STATS = ("metrics", "zf", "mf")
 
 
 @dataclass
@@ -83,7 +79,7 @@ def _parse_sweep(text: str) -> tuple[int, ...]:
 
 def _parse_stats(text: str) -> tuple[str, ...]:
     parts = tuple(p.strip() for p in text.split(",") if p.strip())
-    if not parts or any(p not in _STATS for p in parts):
+    if not parts or any(p not in STATS for p in parts):
         raise ValueError
     return parts
 
@@ -183,59 +179,6 @@ def _default_seed() -> int:
         raise ConfigError(f"{SEED_ENV_VAR}={raw!r} is not an integer seed") from None
 
 
-def _given(opt: dict, **fields: str) -> dict:
-    """Keyword arguments for the options the user set; the defaults stay with
-    Scenario, CorrelationSpec and PowerProfile."""
-    return {field: opt[key] for field, key in fields.items() if key in opt}
-
-
-def _manual_scenario(opt: dict, seed: int, trials: int) -> Scenario:
-    mode = opt.get("mode")
-    if mode is None:
-        raise ConfigError("either --preset or --mode is required")
-
-    if "corr-rho" in opt:
-        correlation = CorrelationSpec(opt["corr-rho"], **_given(opt, spacing="spacing"))
-    elif "spacing" in opt:
-        raise ConfigError("--spacing only applies together with --corr-rho")
-    else:
-        correlation = None
-
-    if ("beta-min" in opt) != ("beta-max" in opt):
-        raise ConfigError("--beta-min and --beta-max must be given together")
-    if "beta-min" in opt:
-        profile = PowerProfile(opt["beta-min"], opt["beta-max"], **_given(opt, eta="eta"))
-    elif "eta" in opt:
-        raise ConfigError("--eta only applies together with --beta-min/--beta-max")
-    else:
-        profile = None
-
-    common = dict(
-        correlation=correlation,
-        profile=profile,
-        trials=trials,
-        seed=seed,
-        **_given(opt, rho_f="rho-f", gram_source="gram-source"),
-    )
-    if "stats" in opt:
-        common.update({f"compute_{name}": name in opt["stats"] for name in _STATS})
-
-    if mode == FIXED_K:
-        if "alpha" in opt:
-            raise ConfigError("--alpha contradicts --mode fixed-K (the --M sweep sets M)")
-        if "K" not in opt or "M" not in opt:
-            raise ConfigError("--mode fixed-K needs --K (one value) and --M (sweep)")
-        if len(opt["K"]) != 1:
-            raise ConfigError(f"--mode fixed-K takes a single --K, got {opt['K']}")
-        return Scenario(mode=FIXED_K, K=opt["K"][0], sweep=opt["M"], **common)
-
-    if "M" in opt:
-        raise ConfigError("--M contradicts --mode fixed-alpha (M follows from --alpha and --K)")
-    if "alpha" not in opt or "K" not in opt:
-        raise ConfigError("--mode fixed-alpha needs --alpha and a --K sweep")
-    return Scenario(mode=FIXED_ALPHA, alpha=opt["alpha"], sweep=opt["K"], **common)
-
-
 def parse_config(argv=None) -> RunConfig:
     """Resolve flags, config file, preset and defaults into a RunConfig."""
     args = _build_argparser().parse_args(argv)
@@ -267,7 +210,7 @@ def parse_config(argv=None) -> RunConfig:
                 )
             scenarios = build_preset(preset, seed=seed, trials=trials)
         else:
-            scenarios = [_manual_scenario(opt, seed, trials)]
+            scenarios = [scenario_from_options(opt, seed, trials)]
     except ValueError as exc:  # ConfigError, or dataclass validation (rho range, profile bounds, ...)
         raise ConfigError(str(exc)) from None
 
@@ -295,7 +238,7 @@ def _rows(results: list[SweepResult]):
                     "stderr": s.stderr,
                     "trials": s.trials,
                     "limit": s.limit,
-                    "seed": sc.seed,
+                    "seed": int(sc.seed),  # a library Scenario may carry a numpy integer
                     "rho_f": sc.rho_f,
                     "corr_rho": corr_rho,
                     "beta_min": beta_min,

@@ -189,7 +189,6 @@ def _run_point(scenario: Scenario, M: int, K: int, workers: int) -> SweepPoint:
     beta = link_gains(K, profile)
     sqrt_beta = np.sqrt(beta) if s.profile is not None else None
 
-    need_gram_g = s.compute_zf or s.compute_mf or (s.compute_metrics and s.gram_source == "G")
     # Allocated before any worker starts; each worker writes its own rows.
     cols: dict[str, np.ndarray] = {}
     if s.compute_metrics:
@@ -208,18 +207,18 @@ def _run_point(scenario: Scenario, M: int, K: int, workers: int) -> SweepPoint:
         write each statistic of their stacked K x K Grams to cols[rows]. A
         slice of a stack gets the same bits as a stack of one; one degenerate
         trial raises SingularMatrixError for the whole stack."""
-        gram_g = np.empty((rows.stop - rows.start, K, K), dtype=np.complex128)
-        gram_h = np.empty_like(gram_g)
+        shape = (rows.stop - rows.start, K, K)
+        gram_g = np.empty(shape, dtype=np.complex128) if s.compute_zf or s.compute_mf else None
+        W = np.empty(shape, dtype=np.complex128) if s.compute_metrics else None
         for i, t in enumerate(range(rows.start, rows.stop)):
             H = sample_channel(M, K, RngStream(s.seed, t + stream_offset), s.correlation)
             G = H if sqrt_beta is None else H * sqrt_beta
-            if need_gram_g:
+            if gram_g is not None:
                 gram_g[i] = gram_normalized(G, 1.0)
-            if s.compute_metrics and s.gram_source == "H":
-                gram_h[i] = gram_normalized(H, M)
+            if W is not None:
+                W[i] = gram_normalized(G if s.gram_source == "G" else H, M)
             del H, G  # free this draw before the next, so a worker holds one at a time
-        if s.compute_metrics:
-            W = gram_g / M if s.gram_source == "G" else gram_h
+        if W is not None:
             cols["mad"][rows] = mad(W - np.eye(K))
             cols["lambda_ratio"][rows] = lambda_ratio(W)
             cols["diagonal_dominance"][rows] = diagonal_dominance(W)

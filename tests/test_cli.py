@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mimo_converge
@@ -25,6 +26,7 @@ from mimo_converge.montecarlo import (
     FIXED_ALPHA,
     FIXED_K,
     ConfigError,
+    Scenario,
     StatSummary,
     SweepPoint,
     SweepResult,
@@ -32,6 +34,7 @@ from mimo_converge.montecarlo import (
 )
 from mimo_converge.numerics import SingularMatrixError
 from mimo_converge.power import PowerProfile
+from mimo_converge.presets import PRESETS, build_preset
 
 
 class TestParseConfig:
@@ -139,6 +142,27 @@ class TestParseConfig:
         monkeypatch.setenv(cli.SEED_ENV_VAR, "not-a-seed")
         with pytest.raises(ConfigError, match=cli.SEED_ENV_VAR):
             parse_config(["--preset", "fig4"])
+
+
+class TestPresetsAreFlags:
+    """A preset is a list of option tables that go through the flags' own path."""
+
+    def test_tables_use_only_pinned_keys(self):
+        for name, (tables, _) in PRESETS.items():
+            for table in tables:
+                assert all(cli._OPTIONS[key].pinned for key in table), name
+
+    @pytest.mark.parametrize("name, flags", [
+        ("fig2", ["--mode", "fixed-alpha", "--alpha", "10", "--K", "8,16,32,64,128,256",
+                  "--stats", "metrics"]),
+        ("fig4", ["--mode", "fixed-alpha", "--alpha", "10", "--K", "5,10,20,50,100",
+                  "--stats", "zf,mf"]),
+        ("fig5", ["--mode", "fixed-alpha", "--alpha", "10", "--K", "5,10,20,50,100",
+                  "--beta-min", "0.1", "--beta-max", "1", "--stats", "zf,mf"]),
+    ])
+    def test_preset_equals_spelled_out_flags(self, name, flags):
+        spelled = parse_config([*flags, "--seed", "5", "--trials", "9"]).scenarios
+        assert build_preset(name, seed=5, trials=9) == spelled
 
 
 class TestConfigFile:
@@ -344,6 +368,19 @@ class TestEmit:
         assert (rows["mad"]["mean"], rows["mad"]["std"], rows["mad"]["stderr"]) == ("nan", "inf", "-inf")
         assert rows["zf_snr"]["limit"] == "inf"
 
+    def test_numpy_integer_seed_written_as_integer(self, tmp_path):
+        seed = np.uint64(2**63 + 1)
+        scenario = Scenario(mode=FIXED_K, K=2, sweep=(4,), trials=2, seed=seed)
+        results = [run_scenario(scenario)]
+        config = _tiny_config(tmp_path)
+        emit(results, config)
+        with open(config.output, newline="") as fh:
+            assert {r["seed"] for r in csv.DictReader(fh)} == {"9223372036854775809"}
+        config = _tiny_config(tmp_path, fmt="json")
+        emit(results, config)
+        seeds = {r["seed"] for r in json.loads(config.output.read_text())["rows"]}
+        assert seeds == {2**63 + 1}
+
     def test_config_echoed_in_every_row(self, tmp_path):
         out = tmp_path / "fig5.csv"
         assert main(["--preset", "fig5", "--trials", "2", "--seed", "8", "--output", str(out)]) == EXIT_OK
@@ -470,6 +507,19 @@ class TestModuleEntryPoint:
         assert done.returncode == EXIT_OK, done.stderr
         header, *rows = out.read_text().splitlines()
         assert header == ",".join(cli.CSV_COLUMNS) and rows
+
+
+class TestRunAllFiguresScript:
+    def test_writes_one_csv_per_preset(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_all_figures.py"),
+             "--trials", "1", "--workers", "1", "--outdir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == [f"fig{i}.csv" for i in range(1, 8)]
 
 
 class TestByteReproducibility:

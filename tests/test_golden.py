@@ -19,6 +19,8 @@ RUN_ARGS = ["--trials", "3", "--seed", "42"]
 
 GOLDEN_SHA256 = {
     "fig1": "381b2661d6e7dee42f9e94b568d49a6f3bbb310bcee073d0d33fda17b5c9adb8",
+    "fig2": "32950d9215088efc535802d715f69520207ff1350c0a31c293fcbd4da6322bc7",
+    "fig3": "f7c84d431b4f292615ca2240030a85b4c007900535859990241a46ae5d0fd46b",
     "fig4": "8d3798f192ff35cd57a156c5aaf563c2782d14f8dea424c01be8dd933dc4e0b3",
     "fig5": "ec4c580942fbc61229b111aaa1bd3669c049205490cadd9ef3ff6094bcd05a6e",
     "fig6": "1da8d9b2005944acd4da339f069df3a19cd5c6370e80f0721e3421efb6e408b2",
