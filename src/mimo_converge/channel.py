@@ -3,11 +3,14 @@
 The small-scale downlink channel is an M x K complex matrix: an iid
 CN(0, 1) draw, colored along its rows when the uniform linear array is
 correlated. The sweep harness scales its columns by the square roots of
-the link gains.
+the link gains. Without correlation every statistic depends on the draw
+only through its Gram, so the harness can draw the K x K Bartlett factor
+in its place.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +20,9 @@ import numpy as np
 # small matrix product, so BLAS does most of the work; 16 to 32 rows measured
 # fastest from 50 x 5 to 16384 x 50 (one thread, 2-CPU x86-64 VM).
 _COLOR_BLOCK_ROWS = 32
+# Byte cap of the slice of blocks multiplied at a time. The products are
+# written back in place, so the coloring holds one draw besides its input.
+_COLOR_SLICE_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,39 @@ def sample_iid(M: int, K: int, rng: RngStream) -> np.ndarray:
     return H
 
 
+@functools.cache
+def _upper_flat_indices(K: int) -> np.ndarray:
+    """Flat indices of the strictly upper triangle of a K x K matrix."""
+    rows, cols = np.triu_indices(K, 1)
+    flat = rows * K + cols
+    flat.flags.writeable = False  # shared by every call with this K
+    return flat
+
+
+def sample_gram_factor(M: int, K: int, rng: RngStream) -> np.ndarray:
+    """K x K upper-triangular Bartlett factor R of an M x K iid CN(0, 1) draw.
+
+    For M >= K the entries are independent: |R_ii|^2 ~ Gamma(M - i, 1) for
+    i = 0..K-1, on a real positive diagonal, and every entry above it is
+    CN(0, 1). R^H R then has the law of H^H H for H = sample_iid(M, K, .),
+    the complex Wishart CW_K(M, I), and so has (R D)^H (R D) that of
+    (H D)^H (H D) for any diagonal D. The gammas are drawn before the
+    normals. Bit-identical for identical (seed, stream).
+    """
+    if not 1 <= K <= M:
+        raise ValueError(f"the Bartlett factor needs 1 <= K <= M, got M={M}, K={K}")
+    g = rng.generator()
+    R = np.zeros((K, K), dtype=np.complex128)
+    flat = R.reshape(-1)
+    flat.real[:: K + 1] = np.sqrt(g.standard_gamma(np.arange(M, M - K, -1)))
+    upper = _upper_flat_indices(K)
+    parts = g.standard_normal((2, upper.size))
+    parts *= 1.0 / np.sqrt(2.0)
+    flat.real[upper] = parts[0]
+    flat.imag[upper] = parts[1]
+    return R
+
+
 def color_exponential(H_iid: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
     """Color an iid channel with the ULA correlation along its rows.
 
@@ -94,16 +133,19 @@ def color_exponential(H_iid: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
     B = min(M, _COLOR_BLOCK_ROWS)
     blocks = -(-M // B)
     x = np.zeros((blocks * B, K), dtype=np.complex128)  # zero rows pad the last block
-    x[:M] = np.sqrt(1.0 - r * r) * H_iid
+    np.multiply(H_iid, np.sqrt(1.0 - r * r), out=x[:M])
     x[0] = H_iid[0]
     powers = r ** np.arange(B + 1)
     i = np.arange(B)
     T = np.tril(powers[np.abs(i[:, np.newaxis] - i)])
     # real and imaginary parts share the real factor
-    y = T @ x.view(np.float64).reshape(blocks, B, 2 * K)
+    y = x.view(np.float64).reshape(blocks, B, 2 * K)
+    step = max(1, _COLOR_SLICE_BYTES // (16 * B * K))
+    for start in range(0, blocks, step):
+        y[start : start + step] = T @ y[start : start + step]
     for block in range(1, blocks):
         y[block] += powers[1:, np.newaxis] * y[block - 1, -1]
-    return y.reshape(blocks * B, 2 * K)[:M].view(np.complex128)
+    return x[:M]
 
 
 def sample_channel(

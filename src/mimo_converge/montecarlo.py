@@ -12,6 +12,7 @@ trial-ordered arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CorrelationSpec, RngStream, sample_channel
+from .channel import CorrelationSpec, RngStream, sample_channel, sample_gram_factor
 from .metrics import diagonal_dominance, lambda_ratio, mad
 from .numerics import SingularMatrixError, gram_normalized, single_threaded_blas
 from .power import PowerProfile, limiting_moments, link_gains
@@ -201,6 +202,15 @@ def _run_point(scenario: Scenario, M: int, K: int, workers: int) -> SweepPoint:
     degenerate = np.zeros(T, dtype=bool)
     # Trials per stack: within the byte cap, and every worker gets a stack.
     chunk = max(1, min(_STACK_BYTES // (16 * K * K), -(-T // max(1, workers))))
+    precoders = s.compute_zf or s.compute_mf
+    # The metrics Gram of G is the precoders' Gram divided by M, bit for bit.
+    metrics_gram = s.compute_metrics and not (precoders and s.gram_source == "G")
+    if (s.correlation is None or s.correlation.rho == 0.0) and M >= K:
+        # Every statistic reads the draw only through its Gram, and the
+        # Bartlett factor's Gram has the law of the M x K draw's.
+        draw = sample_gram_factor
+    else:
+        draw = functools.partial(sample_channel, correlation=s.correlation)
 
     def run_stack(rows: slice, stream_offset: int = 0) -> None:
         """Draw the trials of rows, trial t on stream t + stream_offset, and
@@ -208,17 +218,19 @@ def _run_point(scenario: Scenario, M: int, K: int, workers: int) -> SweepPoint:
         slice of a stack gets the same bits as a stack of one; one degenerate
         trial raises SingularMatrixError for the whole stack."""
         shape = (rows.stop - rows.start, K, K)
-        gram_g = np.empty(shape, dtype=np.complex128) if s.compute_zf or s.compute_mf else None
-        W = np.empty(shape, dtype=np.complex128) if s.compute_metrics else None
+        gram_g = np.empty(shape, dtype=np.complex128) if precoders else None
+        W = np.empty(shape, dtype=np.complex128) if metrics_gram else None
         for i, t in enumerate(range(rows.start, rows.stop)):
-            H = sample_channel(M, K, RngStream(s.seed, t + stream_offset), s.correlation)
+            H = draw(M, K, RngStream(s.seed, t + stream_offset))
             G = H if sqrt_beta is None else H * sqrt_beta
             if gram_g is not None:
                 gram_g[i] = gram_normalized(G, 1.0)
             if W is not None:
                 W[i] = gram_normalized(G if s.gram_source == "G" else H, M)
             del H, G  # free this draw before the next, so a worker holds one at a time
-        if W is not None:
+        if s.compute_metrics:
+            if W is None:
+                W = gram_g / M
             cols["mad"][rows] = mad(W - np.eye(K))
             cols["lambda_ratio"][rows] = lambda_ratio(W)
             cols["diagonal_dominance"][rows] = diagonal_dominance(W)

@@ -17,9 +17,11 @@ from mimo_converge.channel import (
     RngStream,
     color_exponential,
     sample_channel,
+    sample_gram_factor,
     sample_iid,
 )
-from mimo_converge.numerics import gram_normalized
+from mimo_converge.metrics import lambda_ratio
+from mimo_converge.numerics import gram_normalized, inverse_trace
 from mimo_converge.precoding import mf_sinr_from_gram, zf_snr_from_gram
 
 
@@ -99,6 +101,82 @@ class TestSampleIid:
         im = g.standard_normal((M, K))
         reference = (re + 1j * im) / np.sqrt(2.0)
         assert sample_iid(M, K, RngStream(seed, stream)).tobytes() == reference.tobytes()
+
+
+def stacked_gram(A):
+    """Gram conj(A_t).T @ A_t of every matrix of a stack."""
+    return np.conj(np.swapaxes(A, -2, -1)) @ A
+
+
+# Square, one row over square, and tall Wisharts.
+WISHART_SHAPES = [(20, 10), (11, 10), (10, 10), (64, 4)]
+
+
+class TestSampleGramFactor:
+    """The Bartlett factor R: R^H R is CW_K(M, I), the law of H^H H."""
+
+    def test_upper_triangular_with_positive_real_diagonal(self):
+        R = sample_gram_factor(12, 5, RngStream(3, 1))
+        assert R.shape == (5, 5) and R.dtype == np.complex128
+        assert np.all(np.tril(R, -1) == 0)
+        assert np.all(R.diagonal().real > 0) and np.all(R.diagonal().imag == 0)
+        assert np.all(R[np.triu_indices(5, 1)] != 0)
+
+    def test_same_stream_bit_identical(self):
+        a = sample_gram_factor(30, 6, RngStream(42, 5))
+        assert a.tobytes() == sample_gram_factor(30, 6, RngStream(42, 5)).tobytes()
+        assert a.tobytes() != sample_gram_factor(30, 6, RngStream(42, 6)).tobytes()
+
+    @pytest.mark.parametrize("M, K", [(3, 4), (5, 0)])
+    def test_rejects_more_columns_than_rows(self, M, K):
+        with pytest.raises(ValueError, match="K <= M"):
+            sample_gram_factor(M, K, RngStream(0))
+
+    @pytest.mark.parametrize("M, K", WISHART_SHAPES)
+    def test_gram_moments_are_exact_wishart(self, M, K):
+        # Per trial: each W_ii (mean M), the mean of (W_ii - M)^2 over the
+        # independent diagonal (mean Var W_ii = M; one pooled value, as each
+        # square alone is skewed), the mean of |W_ij|^2 over i < j (mean M),
+        # the mean real and imaginary part above the diagonal (mean 0), and,
+        # for M > K, tr W^-1 (mean K/(M - K)). Every mean within 4 SE.
+        T = 10_000
+        R = np.stack([sample_gram_factor(M, K, RngStream(31, t)) for t in range(T)])
+        W = stacked_gram(R)
+        diag = W.diagonal(axis1=-2, axis2=-1).real
+        rows, cols = np.triu_indices(K, 1)
+        upper = W[:, rows, cols]
+        columns = [diag, ((diag - M) ** 2).mean(axis=1, keepdims=True),
+                   (np.abs(upper) ** 2).mean(axis=1, keepdims=True),
+                   upper.real.mean(axis=1, keepdims=True), upper.imag.mean(axis=1, keepdims=True)]
+        targets = [np.full(K, M), [M], [M], [0.0], [0.0]]
+        if M > K:
+            columns.append(inverse_trace(W)[:, np.newaxis])
+            targets.append([K / (M - K)])
+        values = np.hstack(columns)
+        se = values.std(axis=0, ddof=1) / np.sqrt(T)
+        z = np.abs(values.mean(axis=0) - np.concatenate(targets)) / se
+        assert z.max() < 4, f"largest gap {z.max():.2f} SE"
+
+    @pytest.mark.parametrize("M, K", WISHART_SHAPES)
+    def test_statistics_match_the_direct_draw(self, M, K):
+        # log of the eigenvalue ratio (at M = K the ratio itself has no
+        # mean), ZF SNR and mean MF SINR over independent streams, within
+        # 4 combined SE. The direct trials are the columns of one wide draw.
+        T = 4000
+
+        def trial_stats(W):
+            return np.stack([
+                np.log(lambda_ratio(W)),
+                zf_snr_from_gram(W, 1.0),
+                mf_sinr_from_gram(W, 1.0).mean(axis=-1),
+            ], axis=1)
+
+        R = np.stack([sample_gram_factor(M, K, RngStream(41, t)) for t in range(T)])
+        H = sample_iid(M, T * K, RngStream(42)).reshape(M, T, K).transpose(1, 0, 2)
+        bartlett, direct = trial_stats(stacked_gram(R)), trial_stats(stacked_gram(H))
+        se = np.sqrt(bartlett.var(axis=0, ddof=1) / T + direct.var(axis=0, ddof=1) / T)
+        z = np.abs(bartlett.mean(axis=0) - direct.mean(axis=0)) / se
+        assert z.max() < 4, f"largest gap {z.max():.2f} SE"
 
 
 class TestExpCorrelationMatrix:

@@ -398,6 +398,12 @@ def _no_trials(M, K, rng, correlation=None):
     raise AssertionError("a trial ran before the configuration was rejected")
 
 
+def _forbid_trials(monkeypatch):
+    # both draws, so an uncorrelated and a correlated trial each trip it
+    for draw in ("sample_channel", "sample_gram_factor"):
+        monkeypatch.setattr(f"mimo_converge.montecarlo.{draw}", _no_trials)
+
+
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -428,7 +434,7 @@ class TestMainExitCodes:
         "K, M", [("10", "5,8"), ("1", "4")], ids=["M-below-K", "single-user"]
     )
     def test_infeasible_metrics_sweep_is_config_error(self, K, M, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("mimo_converge.montecarlo.sample_channel", _no_trials)
+        _forbid_trials(monkeypatch)
         out = tmp_path / "r.json"
         code = main(["--mode", "fixed-K", "--K", K, "--M", M, "--stats", "metrics",
                      "--trials", "2", "--format", "json", "--output", str(out)])
@@ -443,7 +449,7 @@ class TestMainExitCodes:
         ("--beta-max", "inf"),
     ])
     def test_non_finite_flag_is_config_error(self, flag, value, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("mimo_converge.montecarlo.sample_channel", _no_trials)
+        _forbid_trials(monkeypatch)
         if flag == "--alpha":
             argv = ["--mode", "fixed-alpha", "--K", "2,4"]
         else:
@@ -460,7 +466,7 @@ class TestMainExitCodes:
 
     def test_seed_beyond_64_bits_is_config_error(self, tmp_path, monkeypatch, capsys):
         # a Philox key holds 64 seed bits; 2**64 must not alias seed 0
-        monkeypatch.setattr("mimo_converge.montecarlo.sample_channel", _no_trials)
+        _forbid_trials(monkeypatch)
         out = tmp_path / "r.csv"
         code = main([*_FIXED_K, "--seed", str(2**64), "--trials", "2", "--output", str(out)])
         assert code == EXIT_CONFIG
@@ -469,7 +475,7 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("output", ["", ".", "nodir/x.csv"], ids=["empty", "directory", "missing-parent"])
     def test_unwritable_output_fails_before_trials(self, output, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("mimo_converge.montecarlo.sample_channel", _no_trials)
+        _forbid_trials(monkeypatch)
         monkeypatch.chdir(tmp_path)
         code = main([*_FIXED_K, "--trials", "2", "--output", output])
         assert code == EXIT_IO

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mimo_converge.montecarlo as mc
-from mimo_converge.channel import CorrelationSpec, RngStream, sample_channel, sample_iid
+from mimo_converge.channel import CorrelationSpec, RngStream, sample_gram_factor, sample_iid
 from mimo_converge.metrics import diagonal_dominance, lambda_ratio, mad
 from mimo_converge.montecarlo import (
     FIXED_ALPHA,
@@ -230,16 +230,42 @@ class TestCompareToLimit:
         assert compare_to_limit(r) == []
 
 
+class TestDrawChoice:
+    @pytest.mark.parametrize("scenario, expected", [
+        (Scenario(mode=FIXED_K, K=8, sweep=(4, 16), trials=2, seed=1,
+                  compute_metrics=False, compute_zf=False),
+         {("sample_channel", 4), ("sample_gram_factor", 16)}),
+        (Scenario(mode=FIXED_K, K=4, sweep=(16,), trials=2, seed=1, correlation=CorrelationSpec(0.0)),
+         {("sample_gram_factor", 16)}),
+        (Scenario(mode=FIXED_K, K=4, sweep=(16,), trials=2, seed=1, correlation=CorrelationSpec(0.5)),
+         {("sample_channel", 16)}),
+    ], ids=["mf-only-M-below-K", "rho-zero", "correlated"])
+    def test_bartlett_factor_only_without_correlation_and_M_at_least_K(
+        self, scenario, expected, monkeypatch
+    ):
+        # an M < K Wishart is singular, and a correlated Gram has no
+        # triangular factor of this law: both keep the M x K draw
+        drawn = set()
+        for name in ("sample_channel", "sample_gram_factor"):
+            def spy(M, K, rng, _name=name, _draw=getattr(mc, name), **kw):
+                drawn.add((_name, M))
+                return _draw(M, K, rng, **kw)
+
+            monkeypatch.setattr(mc, name, spy)
+        run_scenario(scenario)
+        assert drawn == expected
+
+
 class TestDegenerateRetry:
     def test_single_retry_counted(self, monkeypatch):
         trials = 10
 
-        def flaky(M, K, rng, correlation=None):
+        def flaky(M, K, rng):
             if rng.stream == 2:
                 raise SingularMatrixError("synthetic degenerate sample")
-            return sample_channel(M, K, rng, correlation)
+            return sample_gram_factor(M, K, rng)
 
-        monkeypatch.setattr(mc, "sample_channel", flaky)
+        monkeypatch.setattr(mc, "sample_gram_factor", flaky)
         p = run_scenario(_scenario(trials=trials)).points[0]
         assert p.degenerate_trials == 1
         assert p.stats["zf_snr"].trials == trials
@@ -247,12 +273,12 @@ class TestDegenerateRetry:
     def test_second_failure_propagates(self, monkeypatch):
         trials = 10
 
-        def broken(M, K, rng, correlation=None):
+        def broken(M, K, rng):
             if rng.stream in (2, trials + 2):
                 raise SingularMatrixError("synthetic degenerate sample")
-            return sample_channel(M, K, rng, correlation)
+            return sample_gram_factor(M, K, rng)
 
-        monkeypatch.setattr(mc, "sample_channel", broken)
+        monkeypatch.setattr(mc, "sample_gram_factor", broken)
         with pytest.raises(SingularMatrixError):
             run_scenario(_scenario(trials=trials))
 
@@ -301,38 +327,43 @@ class TestStackedKernel:
         monkeypatch.setattr(mc, "_STACK_BYTES", 1)  # one trial per stack
         assert run_scenario(scenario, workers=workers) == stacked
 
-    def test_singular_gram_inside_a_stack_is_retried_once(self, monkeypatch):
+    @pytest.mark.parametrize("draw, correlation", [
+        ("sample_gram_factor", None),
+        ("sample_channel", CorrelationSpec(0.5)),
+    ], ids=["iid", "correlated"])
+    def test_singular_gram_inside_a_stack_is_retried_once(self, draw, correlation, monkeypatch):
         trials = 10
         draws = []
+        original = getattr(mc, draw)
 
-        def zero_column(M, K, rng, correlation=None):
+        def zero_column(M, K, rng, **kw):
             draws.append(rng.stream)
-            H = sample_channel(M, K, rng, correlation)
+            H = original(M, K, rng, **kw)
             if rng.stream == 2:
                 H[:, 1] = 0.0
             return H
 
-        def replaced(M, K, rng, correlation=None):
+        def replaced(M, K, rng, **kw):
             # the draw that the retry of trial 2 makes, in slot 2
             stream = trials + 2 if rng.stream == 2 else rng.stream
-            return sample_channel(M, K, RngStream(rng.seed, stream), correlation)
+            return original(M, K, RngStream(rng.seed, stream), **kw)
 
-        s = _scenario(trials=trials)
-        monkeypatch.setattr(mc, "sample_channel", zero_column)
+        s = _scenario(trials=trials, correlation=correlation)
+        monkeypatch.setattr(mc, draw, zero_column)
         retried = run_scenario(s).points[0]
         assert retried.degenerate_trials == 1
         assert draws.count(2) == 2 and draws.count(trials + 2) == 1
-        monkeypatch.setattr(mc, "sample_channel", replaced)
+        monkeypatch.setattr(mc, draw, replaced)
         clean = run_scenario(s).points[0]
         assert clean.degenerate_trials == 0
         assert retried.stats == clean.stats
 
     def test_one_draw_alive_at_a_time(self):
-        # one 16384 x 50 draw is M*K*16 bytes; the Gram of a draw briefly
-        # holds a conjugate copy, but the previous draw must be gone
+        # one 16384 x 50 draw is M*K*16 bytes; the coloring and the Gram of
+        # a draw each briefly hold one more, but the previous draw must be gone
         M, K = 16384, 50
         s = Scenario(mode=FIXED_K, K=K, sweep=(M,), trials=6, seed=1,
-                     compute_zf=False, compute_mf=False)
+                     correlation=CorrelationSpec(0.5), compute_zf=False, compute_mf=False)
         tracemalloc.start()
         try:
             run_scenario(s)
@@ -340,3 +371,16 @@ class TestStackedKernel:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * M * K * 16
+
+    def test_uncorrelated_trials_allocate_no_draw(self):
+        # the Bartlett factor is K x K: a 16384 x 50 point never holds an
+        # M x K array, which alone would take 12.5 MiB
+        s = Scenario(mode=FIXED_K, K=50, sweep=(16384,), trials=6, seed=1,
+                     compute_zf=False, compute_mf=False)
+        tracemalloc.start()
+        try:
+            run_scenario(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
