@@ -3,12 +3,10 @@
 from .channel import CorrelationSpec, RngStream
 from .montecarlo import (
     ConfigError,
-    LimitGap,
     Scenario,
     StatSummary,
     SweepPoint,
     SweepResult,
-    compare_to_limit,
     run_scenario,
 )
 from .numerics import SingularMatrixError
@@ -20,7 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "CorrelationSpec",
-    "LimitGap",
     "PRESETS",
     "PowerProfile",
     "RngStream",
@@ -30,7 +27,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "build_preset",
-    "compare_to_limit",
     "limiting_moments",
     "link_gains",
     "run_scenario",

@@ -33,7 +33,6 @@ from .montecarlo import (
     ConfigError,
     Scenario,
     SweepResult,
-    compare_to_limit,
     run_scenario,
 )
 from .numerics import SingularMatrixError
@@ -295,7 +294,6 @@ def _print_summary(results: list[SweepResult]) -> None:
             label += f" rho={sc.correlation.rho:g}"
         if sc.profile is not None:
             label += f" beta={sc.profile.beta_min:g}..{sc.profile.beta_max:g}"
-        gaps = {(g.M, g.K, g.statistic): g for g in compare_to_limit(result)}
         for p in result.points:
             parts = []
             for name in ("mad", "lambda_ratio", "diagonal_dominance", "zf_snr", "mf_sinr_mean"):
@@ -303,9 +301,8 @@ def _print_summary(results: list[SweepResult]) -> None:
                     continue
                 s = p.stats[name]
                 cell = f"{name}={s.mean:.4g}"
-                gap = gaps.get((p.M, p.K, name))
-                if gap is not None:
-                    cell += f" (limit {gap.limit:.4g}, gap {100 * gap.rel_gap:.1f}%)"
+                if s.limit is not None:
+                    cell += f" (limit {s.limit:.4g}, gap {100 * s.rel_gap:.1f}%)"
                 parts.append(cell)
             extra = f" degenerate={p.degenerate_trials}" if p.degenerate_trials else ""
             print(f"[{label}] M={p.M} K={p.K}: " + "; ".join(parts) + extra)

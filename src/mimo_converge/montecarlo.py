@@ -77,6 +77,11 @@ class StatSummary:
     trials: int
     limit: float | None = None
 
+    @property
+    def rel_gap(self) -> float | None:
+        """Relative gap |mean - limit| / |limit| to the limit, None without one."""
+        return None if self.limit is None else abs(self.mean - self.limit) / abs(self.limit)
+
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -93,16 +98,6 @@ class SweepResult:
     points: list[SweepPoint] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class LimitGap:
-    M: int
-    K: int
-    statistic: str
-    mean: float
-    limit: float
-    rel_gap: float
-
-
 def sweep_points(scenario: Scenario) -> list[tuple[int, int]]:
     """Validate a scenario and expand its sweep into (M, K) pairs.
 
@@ -110,8 +105,8 @@ def sweep_points(scenario: Scenario) -> list[tuple[int, int]]:
     ConfigError before any computation on an invalid or infeasible
     configuration: a K, sweep value, trial count or seed operator.index
     rejects, a seed outside [0, 2**64), a non-finite rho_f or alpha, M <= K
-    anywhere while ZF is enabled, or M < K or K = 1 anywhere while the
-    convergence metrics are enabled.
+    anywhere while ZF is enabled, M < K or K = 1 anywhere while the
+    convergence metrics are enabled, or an empty sweep.
     """
     s = scenario
     if s.mode not in (FIXED_K, FIXED_ALPHA):
@@ -131,6 +126,8 @@ def sweep_points(scenario: Scenario) -> list[tuple[int, int]]:
         raise ConfigError(f"gram_source must be 'H' or 'G', got {s.gram_source!r}")
     if not (s.compute_metrics or s.compute_zf or s.compute_mf):
         raise ConfigError("scenario enables no statistics")
+    if not s.sweep:
+        raise ConfigError("sweep lists no values")
     if any(v < 1 for v in s.sweep):
         raise ConfigError(f"sweep values must be positive, got {s.sweep}")
     if any(b >= a for a, b in zip(s.sweep[1:], s.sweep)):
@@ -202,9 +199,10 @@ def _run_point(scenario: Scenario, M: int, K: int, workers: int) -> SweepPoint:
     degenerate = np.zeros(T, dtype=bool)
     # Trials per stack: within the byte cap, and every worker gets a stack.
     chunk = max(1, min(_STACK_BYTES // (16 * K * K), -(-T // max(1, workers))))
-    precoders = s.compute_zf or s.compute_mf
-    # The metrics Gram of G is the precoders' Gram divided by M, bit for bit.
-    metrics_gram = s.compute_metrics and not (precoders and s.gram_source == "G")
+    # One Gram per distinct matrix: G's, and H's only when the metrics read
+    # H and the gains make G differ from it.
+    metrics_on_h = s.compute_metrics and s.gram_source == "H" and sqrt_beta is not None
+    gram_of_g = s.compute_zf or s.compute_mf or not metrics_on_h
     if (s.correlation is None or s.correlation.rho == 0.0) and M >= K:
         # Every statistic reads the draw only through its Gram, and the
         # Bartlett factor's Gram has the law of the M x K draw's.
@@ -218,26 +216,26 @@ def _run_point(scenario: Scenario, M: int, K: int, workers: int) -> SweepPoint:
         slice of a stack gets the same bits as a stack of one; one degenerate
         trial raises SingularMatrixError for the whole stack."""
         shape = (rows.stop - rows.start, K, K)
-        gram_g = np.empty(shape, dtype=np.complex128) if precoders else None
-        W = np.empty(shape, dtype=np.complex128) if metrics_gram else None
+        gram_g = np.empty(shape, dtype=np.complex128) if gram_of_g else None
+        gram_h = np.empty(shape, dtype=np.complex128) if metrics_on_h else None
         for i, t in enumerate(range(rows.start, rows.stop)):
             H = draw(M, K, RngStream(s.seed, t + stream_offset))
             G = H if sqrt_beta is None else H * sqrt_beta
             if gram_g is not None:
-                gram_g[i] = gram_normalized(G, 1.0)
-            if W is not None:
-                W[i] = gram_normalized(G if s.gram_source == "G" else H, M)
+                gram_g[i] = gram_normalized(G)
+            if gram_h is not None:
+                gram_h[i] = gram_normalized(H)
             del H, G  # free this draw before the next, so a worker holds one at a time
-        if s.compute_metrics:
-            if W is None:
-                W = gram_g / M
-            cols["mad"][rows] = mad(W - np.eye(K))
-            cols["lambda_ratio"][rows] = lambda_ratio(W)
-            cols["diagonal_dominance"][rows] = diagonal_dominance(W)
         if s.compute_zf:
             cols["zf_snr"][rows] = zf_snr_from_gram(gram_g, s.rho_f)
         if s.compute_mf:
             cols["mf_sinr"][rows] = mf_sinr_from_gram(gram_g, s.rho_f)
+        if s.compute_metrics:
+            W = gram_g if gram_h is None else gram_h
+            W /= M  # in place: the precoders have read gram_g already
+            cols["mad"][rows] = mad(W - np.eye(K))
+            cols["lambda_ratio"][rows] = lambda_ratio(W)
+            cols["diagonal_dominance"][rows] = diagonal_dominance(W)
 
     def run_chunk(start: int) -> None:
         rows = slice(start, min(start + chunk, T))
@@ -269,8 +267,8 @@ def _run_point(scenario: Scenario, M: int, K: int, workers: int) -> SweepPoint:
         if name in cols:
             stats[name] = _summary(cols[name])
     if s.compute_zf:
-        limit = zf_snr_limit(s.rho_f, alpha_pt, mean_inv_beta) if has_limits else None
-        stats["zf_snr"] = _summary(cols["zf_snr"], limit)
+        # sweep_points requires M > K wherever ZF is on
+        stats["zf_snr"] = _summary(cols["zf_snr"], zf_snr_limit(s.rho_f, alpha_pt, mean_inv_beta))
     if s.compute_mf:
         user_limits = (
             [mf_sinr_limit(s.rho_f, alpha_pt, float(b), mean_beta) for b in beta]
@@ -304,22 +302,3 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> SweepResult:
     with single_threaded_blas():
         swept = [_run_point(scenario, M, K, workers) for M, K in points]
     return SweepResult(scenario=scenario, points=swept)
-
-
-def compare_to_limit(result: SweepResult) -> list[LimitGap]:
-    """Relative gap between each Monte Carlo mean and its asymptotic limit."""
-    gaps = []
-    for p in result.points:
-        for name, s in p.stats.items():
-            if s.limit is not None:
-                gaps.append(
-                    LimitGap(
-                        M=p.M,
-                        K=p.K,
-                        statistic=name,
-                        mean=s.mean,
-                        limit=s.limit,
-                        rel_gap=abs(s.mean - s.limit) / abs(s.limit),
-                    )
-                )
-    return gaps

@@ -86,13 +86,14 @@ def single_threaded_blas():
                     set_threads(n)
 
 
-def gram_normalized(A: np.ndarray, scale: float) -> np.ndarray:
-    """Scaled Hermitian Gram matrix conj(A).T @ A / scale, for scale > 0.
+def gram_normalized(A: np.ndarray) -> np.ndarray:
+    """Gram matrix conj(A).T @ A, normalized to an exactly Hermitian form.
 
     The result is exactly Hermitian PSD with a real nonnegative diagonal;
-    its dimension is the column count of A.
+    its dimension is the column count of A. Dividing it by a positive real,
+    such as the antenna count M, keeps it exactly Hermitian.
     """
-    B = (A.conj().T @ A) / scale
+    B = A.conj().T @ A
     # Rebuild B from its lower triangle so Hermitian symmetry is exact.
     low = np.tril(B, -1)
     return low + low.conj().T + np.diag(B.diagonal().real)

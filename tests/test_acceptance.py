@@ -113,7 +113,7 @@ def test_criterion_05_inverse_wishart_trace_identity():
         traces = np.empty(trials)
         for t in range(trials):
             G = sample_channel(M, K, RngStream(SEED + 1, t)) * np.sqrt(beta)
-            traces[t] = inverse_trace(gram_normalized(G, 1.0))
+            traces[t] = inverse_trace(gram_normalized(G))
         results[label] = (traces.mean(), expected)
     ok = all(abs(m - e) / e <= 0.02 for m, e in results.values())
     detail = "; ".join(

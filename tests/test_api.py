@@ -10,7 +10,6 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 PUBLIC_API = [
     "ConfigError",
     "CorrelationSpec",
-    "LimitGap",
     "PRESETS",
     "PowerProfile",
     "RngStream",
@@ -20,7 +19,6 @@ PUBLIC_API = [
     "SweepPoint",
     "SweepResult",
     "build_preset",
-    "compare_to_limit",
     "limiting_moments",
     "link_gains",
     "run_scenario",

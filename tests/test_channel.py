@@ -213,7 +213,7 @@ class TestExpCorrelationMatrix:
             CorrelationSpec(rho, spacing)
 
 
-class TestApplyCorrelation:
+class TestColorExponential:
     """Coloring by the AR(1) recursion, color_exponential."""
 
     def test_identity_passthrough(self):
@@ -269,7 +269,7 @@ class TestApplyCorrelation:
         root = dense_root(exp_correlation_matrix(M, spec))
 
         def trial_stats(H):
-            W = gram_normalized(H, 1.0)
+            W = gram_normalized(H)
             return np.concatenate([
                 np.abs(W.ravel()) ** 2,
                 [zf_snr_from_gram(W, 1.0)],
@@ -296,7 +296,7 @@ class TestApplyCorrelation:
         assert peak < 128 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-class TestApplyLinkGains:
+class TestLinkGainScaling:
     """The sweep kernel's column scaling G = H * sqrt(beta)."""
 
     def test_unit_gains_bitwise_identity(self):

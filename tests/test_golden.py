@@ -42,12 +42,30 @@ NON_PRESET_ARGS = {
     "fixed-alpha-spacing": [
         "--mode", "fixed-alpha", "--alpha", "4", "--K", "2,6", "--corr-rho", "0.5",
         "--spacing", "2", "--beta-min", "0.2", "--beta-max", "0.8"],
+    # Gram branches no other hash covers: all statistics at equal powers,
+    # iid and correlated, and the metrics alone on the Gram of H under
+    # unequal gains.
+    "fixedK-iid-all": ["--mode", "fixed-K", "--K", "8", "--M", "16,64,256"],
+    "fixedK-corr-all": ["--mode", "fixed-K", "--K", "8", "--M", "16,64,256", "--corr-rho", "0.5"],
+    "fixed-alpha-unequal-metrics-H": [
+        "--mode", "fixed-alpha", "--alpha", "4", "--K", "2,6", "--stats", "metrics",
+        "--beta-min", "0.2", "--beta-max", "0.8"],
 }
 
 NON_PRESET_SHA256 = {
     "fixedK-corr-unequal-gramG": "54d5d0022f6e97730cb0039369ce6d56d73aabfbc655594cc33c7e6db8d7e2c5",
     "constant-gain-half": "88fad71733069255c8a3f5b69102e0ffec4eee09406c1ff5c7478bc291206779",
     "fixed-alpha-spacing": "2cefb15b18ae5243e32aad04c0886562ebc0908bf98fd823f0619d649bcb6971",
+    "fixedK-iid-all": "d5410a48a3e63cc53ac35b16f2f486c00acdf33142812d79aa1a0074d4f22c22",
+    "fixedK-corr-all": "857d824351d57e097fc5d19ea4c583a6a7846a42b9e817f4d17541858bca3a8e",
+    "fixed-alpha-unequal-metrics-H": "b84f2425344e32c35f0f7cacebd5ffb3f11a8d8d1ad4e80a74ad0b41aa4839d6",
+}
+
+# The summary the CLI prints to stdout, without its final "wrote <path>" line:
+# fig2 has no limits, fig5 prints a limit and a gap for ZF and the MF mean.
+SUMMARY_SHA256 = {
+    "fig2": "8404cd545c25862509f06df7de22b8f1094b158b54ddce7b121498f7d003e45a",
+    "fig5": "1d854f58b652fc6c74e1610a8add83d8797d1cf38246d6f1841a36e91f7b1344",
 }
 
 
@@ -69,6 +87,16 @@ def test_non_preset_bytes_match_golden(name, tmp_path):
     code = main([*NON_PRESET_ARGS[name], *RUN_ARGS, "--workers", "1", "--output", str(out)])
     assert code == EXIT_OK
     assert _sha256(out) == NON_PRESET_SHA256[name]
+
+
+@pytest.mark.parametrize("preset", sorted(SUMMARY_SHA256))
+def test_preset_summary_matches_golden(preset, tmp_path, capsys):
+    out = tmp_path / f"{preset}.csv"
+    code = main(["--preset", preset, *RUN_ARGS, "--workers", "1", "--output", str(out)])
+    assert code == EXIT_OK
+    *summary, wrote = capsys.readouterr().out.splitlines(keepends=True)
+    assert wrote == f"wrote {out}\n"
+    assert hashlib.sha256("".join(summary).encode()).hexdigest() == SUMMARY_SHA256[preset]
 
 
 def test_unit_profile_bytes_match_no_profile(tmp_path):

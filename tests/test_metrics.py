@@ -13,7 +13,7 @@ from mimo_converge.numerics import SingularMatrixError, gram_normalized
 
 
 def _sample_w(M, K, seed):
-    return gram_normalized(sample_iid(M, K, RngStream(seed)), M)
+    return gram_normalized(sample_iid(M, K, RngStream(seed))) / M
 
 
 def _deviation(W):
@@ -105,7 +105,7 @@ class TestFormEquivalence:
         # the alternative Gram convention (conjugate on the second factor)
         # is the entrywise conjugate; magnitudes, trace and eigenvalues match
         H = sample_iid(25, 6, RngStream(17))
-        W = gram_normalized(H, 25)
+        W = gram_normalized(H) / 25
         W_alt = (H.T @ H.conj()) / 25
         np.testing.assert_allclose(W_alt, W.conj(), atol=1e-12)
         assert mad(_deviation(W_alt)) == pytest.approx(mad(_deviation(W)), rel=1e-12)

@@ -14,9 +14,6 @@ from mimo_converge.montecarlo import (
     ConfigError,
     Scenario,
     StatSummary,
-    SweepPoint,
-    SweepResult,
-    compare_to_limit,
     run_scenario,
     sweep_points,
 )
@@ -107,6 +104,10 @@ class TestSweepPoints:
         with pytest.raises(ConfigError):
             sweep_points(Scenario(mode=FIXED_ALPHA, alpha=2.0, K=4, sweep=(8,)))
 
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(ConfigError, match="no values"):
+            run_scenario(Scenario(mode=FIXED_K, K=4, sweep=(), trials=3))
+
     def test_bad_mode_and_empty_stats(self):
         with pytest.raises(ConfigError, match="mode"):
             sweep_points(Scenario(mode="both", sweep=(2,), K=1))
@@ -185,14 +186,12 @@ class TestConvergenceBehaviour:
         assert all(m > 1.0 for m in means)
 
     def test_zf_close_to_limit_already_at_k10(self):
-        r = run_scenario(_scenario(trials=400))
-        (gap,) = [g for g in compare_to_limit(r) if g.statistic == "zf_snr"]
-        assert gap.rel_gap < 0.05
+        (p,) = run_scenario(_scenario(trials=400)).points
+        assert p.stats["zf_snr"].rel_gap < 0.05
 
     def test_mf_converges_slower_than_zf(self):
-        r = run_scenario(_scenario(trials=400))
-        gaps = {g.statistic: g.rel_gap for g in compare_to_limit(r)}
-        assert gaps["mf_sinr_mean"] > gaps["zf_snr"]
+        (p,) = run_scenario(_scenario(trials=400)).points
+        assert p.stats["mf_sinr_mean"].rel_gap > p.stats["zf_snr"].rel_gap
 
 
 class TestGramSource:
@@ -215,19 +214,40 @@ class TestGramSource:
             sweep_points(_scenario(gram_source="W"))
 
 
-class TestCompareToLimit:
+class TestRelGap:
     def test_zero_gap_when_mean_equals_limit(self):
-        point = SweepPoint(
-            M=100, K=10, alpha=10.0,
-            stats={"zf_snr": StatSummary(mean=9.0, std=0.1, stderr=0.01, trials=100, limit=9.0)},
-        )
-        result = SweepResult(scenario=_scenario(), points=[point])
-        (gap,) = compare_to_limit(result)
-        assert gap.rel_gap == 0.0
+        stat = StatSummary(mean=9.0, std=0.1, stderr=0.01, trials=100, limit=9.0)
+        assert stat.rel_gap == 0.0
 
-    def test_statistics_without_limits_are_skipped(self):
-        r = run_scenario(_scenario(compute_zf=False, compute_mf=False, trials=5))
-        assert compare_to_limit(r) == []
+    def test_gap_relative_to_limit_magnitude(self):
+        stat = StatSummary(mean=-3.0, std=0.1, stderr=0.01, trials=100, limit=-4.0)
+        assert stat.rel_gap == 0.25
+
+    def test_statistics_without_limits_have_no_gap(self):
+        (p,) = run_scenario(_scenario(compute_zf=False, compute_mf=False, trials=5)).points
+        assert p.stats and all(s.rel_gap is None for s in p.stats.values())
+
+
+class TestOneGramPerMatrix:
+    @pytest.mark.parametrize("kw, grams", [
+        (dict(), 1),
+        (dict(profile=PowerProfile(0.1, 1.0)), 2),
+        (dict(profile=PowerProfile(0.1, 1.0), compute_zf=False, compute_mf=False), 1),
+        (dict(profile=PowerProfile(0.1, 1.0), gram_source="G"), 1),
+    ], ids=["equal-powers", "profile-source-H", "metrics-only-source-H", "source-G"])
+    def test_grams_per_trial(self, kw, grams, monkeypatch):
+        # the precoders read the Gram of G; the metrics read it too, unless
+        # they read H's and the gains make H differ from G
+        calls = 0
+
+        def spy(A):
+            nonlocal calls
+            calls += 1
+            return gram_normalized(A)
+
+        monkeypatch.setattr(mc, "gram_normalized", spy)
+        run_scenario(_scenario(trials=7, **kw))
+        assert calls == 7 * grams
 
 
 class TestDrawChoice:
@@ -289,7 +309,7 @@ class TestDegenerateRetry:
 def _gram_stack(M, K, trials, seed):
     beta = link_gains(K, PowerProfile(0.1, 1.0))
     return np.stack([
-        gram_normalized(sample_iid(M, K, RngStream(seed, t)) * np.sqrt(beta), 1.0)
+        gram_normalized(sample_iid(M, K, RngStream(seed, t)) * np.sqrt(beta))
         for t in range(trials)
     ])
 

@@ -32,17 +32,17 @@ def _random_complex(m, k, seed):
 
 class TestGramNormalized:
     def test_scalar(self):
-        np.testing.assert_allclose(gram_normalized(np.array([[2.0 + 0j]]), 1.0), [[4.0]])
+        np.testing.assert_allclose(gram_normalized(np.array([[2.0 + 0j]])), [[4.0]])
 
     def test_identity_scaled(self):
-        np.testing.assert_allclose(gram_normalized(np.eye(2), 2.0), np.eye(2) / 2)
+        np.testing.assert_allclose(gram_normalized(np.eye(2)) / 2.0, np.eye(2) / 2)
 
     def test_diag_mean_and_variance(self):
         # columns of each draw act as independent trials of an M-vector
         M, cols, batches = 64, 500, 20
         diag = np.concatenate(
             [
-                gram_normalized(_random_complex(M, cols, seed=11 + b), M).diagonal().real
+                (gram_normalized(_random_complex(M, cols, seed=11 + b)) / M).diagonal().real
                 for b in range(batches)
             ]
         )
@@ -50,14 +50,14 @@ class TestGramNormalized:
         np.testing.assert_allclose(diag.var(ddof=1), 1 / M, rtol=0.10)
 
     def test_exactly_hermitian_with_real_diagonal(self):
-        W = gram_normalized(_random_complex(20, 8, seed=1), 20.0)
+        W = gram_normalized(_random_complex(20, 8, seed=1)) / 20.0
         assert np.array_equal(W, W.conj().T)
         assert W.diagonal().imag.max() == 0.0
 
     @given(st.integers(2, 12), st.integers(1, 12), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_psd_up_to_slack(self, m, k, seed):
-        W = gram_normalized(_random_complex(m, k, seed), float(m))
+        W = gram_normalized(_random_complex(m, k, seed)) / float(m)
         lam = np.linalg.eigvalsh(W)
         assert lam[0] >= -1e-12 * max(1.0, lam[-1])
 
@@ -79,19 +79,19 @@ class TestHermitianEigenvalues:
     @given(st.integers(1, 15), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_sum_matches_trace(self, k, seed):
-        W = gram_normalized(_random_complex(k + 3, k, seed), 1.0)
+        W = gram_normalized(_random_complex(k + 3, k, seed))
         lam = np.linalg.eigvalsh(W)
         np.testing.assert_allclose(lam.sum(), np.trace(W).real, rtol=1e-10)
 
     def test_ascending(self):
         # lambda_ratio reads the extremes off the ends of the ascending
         # spectrum; the general eigensolver is an independent oracle
-        W = gram_normalized(_random_complex(12, 6, 3), 1.0)
+        W = gram_normalized(_random_complex(12, 6, 3))
         lam = np.linalg.eigvals(W).real
         assert lambda_ratio(W) == pytest.approx(lam.max() / lam.min(), rel=1e-9)
 
     def test_reconstruction_residual(self):
-        W = gram_normalized(_random_complex(30, 10, seed=5), 30.0)
+        W = gram_normalized(_random_complex(30, 10, seed=5)) / 30.0
         lam, V = np.linalg.eigh(W)
         residual = np.linalg.norm((V * lam) @ V.conj().T - W) / np.linalg.norm(W)
         assert residual < 1e-10
@@ -105,19 +105,19 @@ class TestInverseTrace:
         assert inverse_trace(np.diag([1.0, 0.5])) == pytest.approx(3.0)
 
     def test_matches_eigenvalue_oracle(self):
-        W = gram_normalized(_random_complex(40, 10, seed=2), 1.0)
+        W = gram_normalized(_random_complex(40, 10, seed=2))
         oracle = float(np.sum(1.0 / np.linalg.eigvalsh(W)))
         assert inverse_trace(W) == pytest.approx(oracle, rel=1e-8)
 
     @given(st.integers(1, 12), st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_eigenvalue_oracle_property(self, k, seed):
-        W = gram_normalized(_random_complex(3 * k + 4, k, seed), 1.0)
+        W = gram_normalized(_random_complex(3 * k + 4, k, seed))
         oracle = float(np.sum(1.0 / np.linalg.eigvalsh(W)))
         assert inverse_trace(W) == pytest.approx(oracle, rel=1e-8)
 
     def test_rank_deficient_raises(self):
-        W = gram_normalized(_random_complex(2, 5, seed=4), 1.0)  # rank 2 of 5
+        W = gram_normalized(_random_complex(2, 5, seed=4))  # rank 2 of 5
         with pytest.raises(SingularMatrixError):
             inverse_trace(W)
 

@@ -31,11 +31,11 @@ def _orthonormal_columns(M, K, scale=1.0):
 
 
 def _zf_snr(G, rho_f=1.0):
-    return zf_snr_from_gram(gram_normalized(G, 1.0), rho_f)
+    return zf_snr_from_gram(gram_normalized(G), rho_f)
 
 
 def _mf_sinr(G, rho_f=1.0):
-    return mf_sinr_from_gram(gram_normalized(G, 1.0), rho_f)
+    return mf_sinr_from_gram(gram_normalized(G), rho_f)
 
 
 def _zf_gamma(G):
@@ -115,7 +115,7 @@ class TestMfGamma:
 
         def gamma_over_m(t):
             G = sample_iid(M, K, RngStream(26, t)) * np.sqrt(beta)
-            return gram_normalized(G, M).diagonal().real.mean()
+            return (gram_normalized(G) / M).diagonal().real.mean()
 
         vals = [gamma_over_m(t) for t in range(trials)]
         assert np.mean(vals) == pytest.approx(beta.mean(), rel=0.02)
@@ -142,7 +142,7 @@ class TestMfSinr:
     def test_interference_bound(self, K, seed):
         # denominator >= 1, so SINR_i <= rho_f |gram_ii|^2 / (K gamma)
         G = sample_iid(3 * K, K, RngStream(seed))
-        gram = gram_normalized(G, 1.0)
+        gram = gram_normalized(G)
         gamma = np.trace(gram).real / K
         bound = np.abs(gram.diagonal()) ** 2 / (K * gamma)
         assert (mf_sinr_from_gram(gram, 1.0) <= bound + 1e-12).all()
