@@ -1,11 +1,13 @@
 """Correlated Rayleigh channel generation.
 
-The small-scale downlink channel is an M x K complex matrix: an iid
-CN(0, 1) draw, colored along its rows when the uniform linear array is
-correlated. The sweep harness scales its columns by the square roots of
-the link gains. Without correlation every statistic depends on the draw
-only through its Gram, so the harness can draw the K x K Bartlett factor
-in its place.
+The small-scale downlink channel is an M x K complex matrix H = L Z with Z
+iid CN(0, 1) and L L^H = R, the correlation of the uniform linear array.
+The sweep harness scales its columns by the square roots of the link
+gains, and every statistic depends on the draw only through its Gram
+Z^H L^H L Z. L^H L = V diag(lambda) V^H has the eigenvalues of R, and V^H Z
+has the law of Z, so a correlated trial draws Z with row m scaled by
+sqrt(lambda_m): the channel in R's eigenbasis. Without correlation the
+harness can draw the K x K Bartlett factor of the Gram in its place.
 """
 
 from __future__ import annotations
@@ -15,14 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Rows per block of the correlation coloring. The block-local recursion is a
-# small matrix product, so BLAS does most of the work; 16 to 32 rows measured
-# fastest from 50 x 5 to 16384 x 50 (one thread, 2-CPU x86-64 VM).
-_COLOR_BLOCK_ROWS = 32
-# Byte cap of the slice of blocks multiplied at a time. The products are
-# written back in place, so the coloring holds one draw besides its input.
-_COLOR_SLICE_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -52,8 +46,9 @@ class CorrelationSpec:
     """Exponential correlation profile of a uniform linear array.
 
     Antennas i and j at distance spacing*|i - j| have correlation
-    rho ** (spacing*|i - j|); with the default spacing of 1.0, rho is the
-    correlation between adjacent elements.
+    R_ij = rho ** (spacing*|i - j|) = r**|i - j|, where r = rho ** spacing
+    is the correlation between adjacent elements. r must stay below 1,
+    where R is singular.
     """
 
     rho: float
@@ -64,24 +59,65 @@ class CorrelationSpec:
             raise ValueError(f"rho must be in [0, 1), got {self.rho}")
         if not (math.isfinite(self.spacing) and self.spacing > 0):
             raise ValueError(f"spacing must be finite and positive, got {self.spacing}")
+        if self.r >= 1.0:
+            raise ValueError(f"rho ** spacing = {self.rho} ** {self.spacing} rounds to 1, where R is singular")
+
+    @property
+    def r(self) -> float:
+        """Correlation between adjacent elements, rho ** spacing, in [0, 1)."""
+        return self.rho**self.spacing
 
 
-def sample_iid(M: int, K: int, rng: RngStream) -> np.ndarray:
-    """M x K matrix of iid circularly-symmetric CN(0, 1) entries.
+def sample_iid(M: int, K: int, rng: RngStream, row_power: np.ndarray | None = None) -> np.ndarray:
+    """M x K matrix of independent circularly-symmetric complex normals.
 
-    Real and imaginary parts are each N(0, 1/2), so every entry has unit
-    average power. Bit-identical for identical (seed, stream).
+    Entry (m, k) is CN(0, row_power[m]), or CN(0, 1) without row_power, so
+    real and imaginary parts are each N(0, row_power[m] / 2). Bit-identical
+    for identical (seed, stream).
     """
     if M < 1 or K < 1:
         raise ValueError(f"M and K must be positive, got M={M}, K={K}")
     parts = rng.generator().standard_normal((2, M, K))
     # Multiplying by the reciprocal gives the same bits as dividing the
     # complex matrix by sqrt(2); dividing the parts in place would not.
-    parts *= 1.0 / np.sqrt(2.0)
+    parts *= 1.0 / np.sqrt(2.0) if row_power is None else np.sqrt(row_power / 2.0)[:, np.newaxis]
     H = np.empty((M, K), dtype=np.complex128)
     H.real = parts[0]
     H.imag = parts[1]
     return H
+
+
+def exp_correlation_eigenvalues(M: int, r: float) -> np.ndarray:
+    """The M eigenvalues of the correlation matrix R_ij = r**|i - j|, 0 < r < 1.
+
+    Kac, Murdock and Szego (J. Rational Mech. Anal. 2, 1953):
+    lambda_k = (1 - r^2) / ((1 - r)^2 + 4 r sin^2(theta_k / 2)), where
+    theta_k is the one root in ((k - 1) pi / (M + 1), k pi / (M + 1)] of
+    sin((M + 1) theta) - 2 r sin(M theta) + r^2 sin((M - 1) theta). That
+    function is |1 - r e^(-i theta)|^2 sin(phi(theta)), whose phase
+    phi(theta) = (M + 1) theta + 2 arg(1 - r e^(-i theta)) rises from 0 to
+    (M + 1) pi, so theta_k solves phi(theta) = k pi. Every root is bisected
+    inside its bracket, all M at once, and every bracket must change sign:
+    M disjoint brackets give M distinct eigenvalues, largest first.
+    """
+    if not (M >= 1 and 0.0 < r < 1.0):
+        raise ValueError(f"need M >= 1 and 0 < r < 1, got M={M}, r={r}")
+    edges = np.arange(M + 1) * (np.pi / (M + 1))
+    lo, hi = edges[:-1], edges[1:]
+
+    def excess(theta):
+        """phi(theta) - k pi, with k pi as (M + 1) times the top edge of bracket
+        k: there the excess is 2 arg(1 - r e^(-i theta)) >= 0 exactly."""
+        one_minus_cos = (1 - r) + 2 * r * np.sin(theta / 2) ** 2  # 1 - r cos(theta), no cancellation
+        return (M + 1) * (theta - edges[1:]) + 2 * np.arctan2(r * np.sin(theta), one_minus_cos)
+
+    if not (np.all(excess(lo) < 0) and np.all(excess(hi) >= 0)):
+        raise ArithmeticError(f"a root bracket does not change sign at M={M}, r={r}")
+    for _ in range(64):  # a bracket no wider than pi/2 halves to a few ulps
+        mid = 0.5 * (lo + hi)
+        below = excess(mid) < 0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return (1 - r) * (1 + r) / ((1 - r) ** 2 + 4 * r * np.sin(0.25 * (lo + hi)) ** 2)
 
 
 @functools.cache
@@ -115,47 +151,3 @@ def sample_gram_factor(M: int, K: int, rng: RngStream) -> np.ndarray:
     flat.real[upper] = parts[0]
     flat.imag[upper] = parts[1]
     return R
-
-
-def color_exponential(H_iid: np.ndarray, spec: CorrelationSpec) -> np.ndarray:
-    """Color an iid channel with the ULA correlation along its rows.
-
-    Runs the AR(1) recursion h_1 = w_1, h_m = r h_(m-1) + sqrt(1 - r^2) w_m
-    with r = rho**spacing down every column. That applies the Cholesky
-    factor L of R_ij = r**|i - j|, and since L = R^(1/2) U with U unitary,
-    L @ H_iid has the same law as R^(1/2) @ H_iid. The recursion runs in
-    blocks of B rows: inside a block it is one product with the Toeplitz
-    factor T_ij = r**(i - j), i >= j, and then, block after block, row i
-    adds r**(i + 1) times the last row of the block before it.
-    """
-    M, K = H_iid.shape
-    r = spec.rho**spec.spacing
-    B = min(M, _COLOR_BLOCK_ROWS)
-    blocks = -(-M // B)
-    x = np.zeros((blocks * B, K), dtype=np.complex128)  # zero rows pad the last block
-    np.multiply(H_iid, np.sqrt(1.0 - r * r), out=x[:M])
-    x[0] = H_iid[0]
-    powers = r ** np.arange(B + 1)
-    i = np.arange(B)
-    T = np.tril(powers[np.abs(i[:, np.newaxis] - i)])
-    # real and imaginary parts share the real factor
-    y = x.view(np.float64).reshape(blocks, B, 2 * K)
-    step = max(1, _COLOR_SLICE_BYTES // (16 * B * K))
-    for start in range(0, blocks, step):
-        y[start : start + step] = T @ y[start : start + step]
-    for block in range(1, blocks):
-        y[block] += powers[1:, np.newaxis] * y[block - 1, -1]
-    return x[:M]
-
-
-def sample_channel(
-    M: int,
-    K: int,
-    rng: RngStream,
-    correlation: CorrelationSpec | None = None,
-) -> np.ndarray:
-    """Draw one small-scale channel: the iid draw, colored when rho > 0."""
-    H = sample_iid(M, K, rng)
-    if correlation is None or correlation.rho == 0.0:
-        return H
-    return color_exponential(H, correlation)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CorrelationSpec, RngStream, sample_channel, sample_gram_factor
+from .channel import CorrelationSpec, RngStream, exp_correlation_eigenvalues, sample_gram_factor, sample_iid
 from .metrics import diagonal_dominance, lambda_ratio, mad
 from .numerics import SingularMatrixError, gram_normalized, single_threaded_blas
 from .power import PowerProfile, limiting_moments, link_gains
@@ -203,12 +203,17 @@ def _run_point(scenario: Scenario, M: int, K: int, workers: int) -> SweepPoint:
     # H and the gains make G differ from it.
     metrics_on_h = s.compute_metrics and s.gram_source == "H" and sqrt_beta is not None
     gram_of_g = s.compute_zf or s.compute_mf or not metrics_on_h
-    if (s.correlation is None or s.correlation.rho == 0.0) and M >= K:
-        # Every statistic reads the draw only through its Gram, and the
-        # Bartlett factor's Gram has the law of the M x K draw's.
+    # Every statistic reads the draw only through its Gram. A correlated
+    # draw is taken in R's eigenbasis, whose Gram has the law of that of
+    # R^(1/2) times an iid draw; without correlation the Bartlett factor's
+    # Gram has the law of the M x K draw's.
+    r = 0.0 if s.correlation is None else s.correlation.r
+    if r > 0.0:
+        draw = functools.partial(sample_iid, row_power=exp_correlation_eigenvalues(M, r))
+    elif M >= K:
         draw = sample_gram_factor
     else:
-        draw = functools.partial(sample_channel, correlation=s.correlation)
+        draw = sample_iid
 
     def run_stack(rows: slice, stream_offset: int = 0) -> None:
         """Draw the trials of rows, trial t on stream t + stream_offset, and

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from mimo_converge.channel import CorrelationSpec, RngStream, sample_channel, sample_iid
+from mimo_converge.channel import CorrelationSpec, RngStream, sample_iid
 from mimo_converge.cli import main
 from mimo_converge.montecarlo import FIXED_ALPHA, FIXED_K, Scenario, run_scenario
 from mimo_converge.numerics import gram_normalized, inverse_trace
@@ -112,7 +112,7 @@ def test_criterion_05_inverse_wishart_trace_identity():
         expected = float((1.0 / beta).sum()) / (M - K)
         traces = np.empty(trials)
         for t in range(trials):
-            G = sample_channel(M, K, RngStream(SEED + 1, t)) * np.sqrt(beta)
+            G = sample_iid(M, K, RngStream(SEED + 1, t)) * np.sqrt(beta)
             traces[t] = inverse_trace(gram_normalized(G))
         results[label] = (traces.mean(), expected)
     ok = all(abs(m - e) / e <= 0.02 for m, e in results.values())

@@ -2,9 +2,9 @@
 
 Moment checks exploit that columns of one iid draw are themselves
 independent trials, so a single wide matrix stands in for a trial loop.
-The correlated channel is checked against dense oracles built from the
-exponential correlation matrix: its Cholesky factor, which the coloring
-applies exactly, and its principal square root, whose law it shares.
+The correlated channel, drawn in the eigenbasis of the exponential
+correlation matrix R, is checked against dense oracles built from R: its
+eigenvalues, and the law of its Cholesky factor times an iid draw.
 """
 
 import tracemalloc
@@ -15,13 +15,12 @@ import pytest
 from mimo_converge.channel import (
     CorrelationSpec,
     RngStream,
-    color_exponential,
-    sample_channel,
+    exp_correlation_eigenvalues,
     sample_gram_factor,
     sample_iid,
 )
 from mimo_converge.metrics import lambda_ratio
-from mimo_converge.numerics import gram_normalized, inverse_trace
+from mimo_converge.numerics import inverse_trace
 from mimo_converge.precoding import mf_sinr_from_gram, zf_snr_from_gram
 
 
@@ -29,12 +28,6 @@ def exp_correlation_matrix(M, spec):
     """Dense M x M oracle R_ij = rho**(spacing*|i - j|)."""
     i = np.arange(M)
     return spec.rho ** (spec.spacing * np.abs(i[:, np.newaxis] - i))
-
-
-def dense_root(R):
-    """Principal square root of a symmetric positive definite matrix."""
-    w, V = np.linalg.eigh(R)
-    return (V * np.sqrt(w)) @ V.T
 
 
 class TestRngStream:
@@ -101,6 +94,19 @@ class TestSampleIid:
         im = g.standard_normal((M, K))
         reference = (re + 1j * im) / np.sqrt(2.0)
         assert sample_iid(M, K, RngStream(seed, stream)).tobytes() == reference.tobytes()
+
+    def test_row_power_sets_each_row_power(self):
+        # mean |h_m|^2 over 1e5 entries of row m; |h_m|^2 / p_m is Exp(1)
+        power = np.array([4.0, 1.0, 0.25])
+        H = sample_iid(3, 100_000, RngStream(seed=11), row_power=power)
+        assert np.all(np.abs((np.abs(H) ** 2).mean(axis=1) / power - 1) < 4 / np.sqrt(H.shape[1]))
+
+    def test_row_power_scales_the_same_normals(self):
+        power = np.array([2.0, 0.5, 3.0])
+        scaled = sample_iid(3, 4, RngStream(3, 4), row_power=power)
+        assert scaled.tobytes() == sample_iid(3, 4, RngStream(3, 4), row_power=power).tobytes()
+        np.testing.assert_allclose(scaled, sample_iid(3, 4, RngStream(3, 4)) * np.sqrt(power)[:, np.newaxis],
+                                   rtol=1e-15)
 
 
 def stacked_gram(A):
@@ -204,6 +210,15 @@ class TestExpCorrelationMatrix:
         with pytest.raises(ValueError):
             CorrelationSpec(rho=0.5, spacing=0.0)
 
+    def test_adjacent_correlation(self):
+        assert CorrelationSpec(0.5, spacing=2.0).r == 0.25
+        assert CorrelationSpec(0.0, spacing=0.5).r == 0.0
+
+    def test_adjacent_correlation_rounding_to_one_rejected(self):
+        # 0.5 ** 1e-300 is 1.0 in floating point, and R of all ones is singular
+        with pytest.raises(ValueError, match="rounds to 1"):
+            CorrelationSpec(0.5, spacing=1e-300)
+
     @pytest.mark.parametrize("rho, spacing", [
         (float("nan"), 1.0), (float("inf"), 1.0),
         (0.5, float("nan")), (0.5, float("inf")), (0.5, -float("inf")),
@@ -213,83 +228,69 @@ class TestExpCorrelationMatrix:
             CorrelationSpec(rho, spacing)
 
 
-class TestColorExponential:
-    """Coloring by the AR(1) recursion, color_exponential."""
+def tr_r_squared(M, r):
+    """tr(R^2) = sum over i, j of r**(2|i - j|), in closed form."""
+    q = r * r
+    return M * (1 + q) / (1 - q) - 2 * q * (1 - q**M) / (1 - q) ** 2
 
-    def test_identity_passthrough(self):
-        H = sample_iid(4, 3, RngStream(1))
-        assert np.array_equal(color_exponential(H, CorrelationSpec(0.0)), H)
 
-    def test_factor_multiplies_back_to_r(self):
-        # coloring the identity gives the factor L itself; L L^H must be R
-        for spec in (CorrelationSpec(0.5), CorrelationSpec(0.9, spacing=2.0)):
-            L = color_exponential(np.eye(6, dtype=complex), spec)
-            np.testing.assert_allclose(L @ L.conj().T, exp_correlation_matrix(6, spec), atol=1e-14)
+class TestExpCorrelationEigenvalues:
+    """The Kac-Murdock-Szego eigenvalues that the correlated draw scales by."""
 
-    def test_pairwise_correlation_moment(self):
-        # columns are trials: mean h_i conj(h_j) estimates r**|i - j|,
-        # r = rho**spacing
-        for spec, r in ((CorrelationSpec(0.5), 0.5), (CorrelationSpec(0.5, spacing=2.0), 0.25)):
-            H = color_exponential(sample_iid(3, 100_000, RngStream(seed=12)), spec)
-            assert abs(np.mean(H[0] * np.conj(H[1])) - r) < 0.02
-            assert abs(np.mean(H[1] * np.conj(H[2])) - r) < 0.02
-            assert abs(np.mean(H[0] * np.conj(H[2])) - r**2) < 0.02
-
-    def test_unit_diagonal_preserves_entry_power(self):
-        spec = CorrelationSpec(rho=0.9)
-        H = color_exponential(sample_iid(16, 20_000, RngStream(seed=13)), spec)
-        assert abs(np.mean(np.abs(H) ** 2) - 1.0) < 0.02
-
-    @pytest.mark.parametrize("spacing", [1.0, 2.0])
-    @pytest.mark.parametrize("rho", [0.5, 0.9, 0.99])
-    @pytest.mark.parametrize("M", [1, 2, 3, 64, 1000])
-    def test_applies_the_cholesky_factor(self, M, rho, spacing):
+    @pytest.mark.parametrize("M, rho, spacing", [
+        (1, 0.5, 1.0), (2, 0.9, 1.0), (50, 0.5, 1.0), (1000, 0.9, 1.0),
+        (300, 0.99, 1.0), (200, 0.999, 1.0), (100, 0.9, 2.5),
+    ])
+    def test_match_dense_eigvalsh(self, M, rho, spacing):
         spec = CorrelationSpec(rho, spacing)
-        H = sample_iid(M, 6, RngStream(14, M))
-        expected = np.linalg.cholesky(exp_correlation_matrix(M, spec)) @ H
-        error = np.linalg.norm(color_exponential(H, spec) - expected) / np.linalg.norm(expected)
-        assert error < 1e-12
+        lam = exp_correlation_eigenvalues(M, spec.r)
+        assert lam.shape == (M,) and np.all(np.diff(lam) < 0)  # distinct, largest first
+        np.testing.assert_allclose(lam[::-1], np.linalg.eigvalsh(exp_correlation_matrix(M, spec)),
+                                   rtol=1e-10)
 
-    def test_first_row_is_the_iid_draw(self):
-        H = sample_iid(8, 5, RngStream(3))
-        assert color_exponential(H, CorrelationSpec(0.7))[0].tobytes() == H[0].tobytes()
+    def test_trace_moments_at_the_largest_preset_size(self):
+        M, r = 16384, 0.9
+        lam = exp_correlation_eigenvalues(M, r)
+        np.testing.assert_allclose(lam.sum(), M, rtol=1e-12)
+        np.testing.assert_allclose((lam**2).sum(), tr_r_squared(M, r), rtol=1e-12)
 
-    def test_deterministic(self):
-        spec = CorrelationSpec(rho=0.7)
-        a = sample_channel(8, 2, RngStream(3, 4), spec)
-        b = sample_channel(8, 2, RngStream(3, 4), spec)
-        assert a.tobytes() == b.tobytes()
+    @pytest.mark.parametrize("M, r", [(0, 0.5), (4, 0.0), (4, 1.0), (4, -0.5)])
+    def test_rejects_outside_the_domain(self, M, r):
+        with pytest.raises(ValueError):
+            exp_correlation_eigenvalues(M, r)
 
-    def test_law_matches_dense_root_oracle(self):
-        # The recursion applies the Cholesky factor L = R^(1/2) U, so L H_iid
-        # and R^(1/2) H_iid share one law. Compare Gram second moments and
-        # the ZF/MF means over independent streams within 4 combined SE.
-        M, K, T = 8, 4, 4000
-        spec = CorrelationSpec(rho=0.9)
-        root = dense_root(exp_correlation_matrix(M, spec))
+    @pytest.mark.parametrize("M, K, r", [(8, 4, 0.9), (60, 10, 0.5), (33, 8, 0.99)])
+    def test_law_matches_dense_cholesky_oracle(self, M, K, r):
+        # Every statistic reads a trial through its Gram Z^H L^H L Z, and
+        # L^H L = V diag(lambda) V^H with V^H Z distributed as Z; so rows of
+        # Z scaled by sqrt(lambda) give Grams of the law of those of L Z.
+        # Compare the Gram second moments, the lambda ratio, the ZF SNR and
+        # the per-user MF SINR over independent streams within 4.5 combined
+        # SE. The trials of each side are the column blocks of one wide draw.
+        T = 4000
 
         def trial_stats(H):
-            W = gram_normalized(H)
-            return np.concatenate([
-                np.abs(W.ravel()) ** 2,
-                [zf_snr_from_gram(W, 1.0)],
+            W = stacked_gram(H.reshape(M, T, K).transpose(1, 0, 2))
+            return np.hstack([
+                np.abs(W.reshape(T, K * K)) ** 2,
+                lambda_ratio(W)[:, np.newaxis],
+                zf_snr_from_gram(W, 1.0)[:, np.newaxis],
                 mf_sinr_from_gram(W, 1.0),
             ])
 
-        ar1 = np.array([
-            trial_stats(color_exponential(sample_iid(M, K, RngStream(21, t)), spec))
-            for t in range(T)
-        ])
-        oracle = np.array([trial_stats(root @ sample_iid(M, K, RngStream(22, t))) for t in range(T)])
-        se = np.sqrt(ar1.var(axis=0, ddof=1) / T + oracle.var(axis=0, ddof=1) / T)
-        z = np.abs(ar1.mean(axis=0) - oracle.mean(axis=0)) / se
-        assert z.max() < 4, f"largest gap {z.max():.2f} SE"
+        lam = exp_correlation_eigenvalues(M, r)
+        L = np.linalg.cholesky(exp_correlation_matrix(M, CorrelationSpec(r)))
+        eigenbasis = trial_stats(sample_iid(M, T * K, RngStream(51), row_power=lam))
+        oracle = trial_stats(L @ sample_iid(M, T * K, RngStream(52)))
+        se = np.sqrt(eigenbasis.var(axis=0, ddof=1) / T + oracle.var(axis=0, ddof=1) / T)
+        z = np.abs(eigenbasis.mean(axis=0) - oracle.mean(axis=0)) / se
+        assert z.max() < 4.5, f"largest gap {z.max():.2f} SE"
 
     def test_memory_stays_linear_in_m(self):
-        # a dense root at M = 16384 alone would take 2 GiB
+        # a dense R at M = 16384 alone would take 2 GiB
         tracemalloc.start()
         try:
-            sample_channel(16384, 50, RngStream(1), CorrelationSpec(0.9))
+            sample_iid(16384, 50, RngStream(1), row_power=exp_correlation_eigenvalues(16384, 0.9))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -319,27 +320,3 @@ class TestLinkGainScaling:
             diag = (np.abs(H * np.sqrt(beta_i)) ** 2).mean(axis=0)
             np.testing.assert_allclose(diag.mean(), beta_i, rtol=0.01)
             np.testing.assert_allclose(diag.var(ddof=1), beta_i**2 / M, rtol=0.10)
-
-
-class TestSampleChannel:
-    def test_pure_function_of_inputs(self):
-        spec = CorrelationSpec(rho=0.6)
-        a = sample_channel(8, 2, RngStream(7, 3), spec)
-        b = sample_channel(8, 2, RngStream(7, 3), spec)
-        assert a.tobytes() == b.tobytes()
-
-    def test_iid_equal_power_reduces_to_plain_draw(self):
-        H = sample_channel(10, 4, RngStream(5))
-        assert H.tobytes() == sample_iid(10, 4, RngStream(5)).tobytes()
-
-    def test_rho_zero_same_as_no_correlation(self):
-        a = sample_channel(6, 2, RngStream(8), None)
-        b = sample_channel(6, 2, RngStream(8), CorrelationSpec(rho=0.0))
-        assert a.tobytes() == b.tobytes()
-
-    def test_returns_coloured_draw(self):
-        H_iid = sample_iid(6, 3, RngStream(1))
-        H = sample_channel(6, 3, RngStream(1), CorrelationSpec(0.5))
-        assert H.shape == (6, 3) and H.dtype == np.complex128
-        assert H.tobytes() == color_exponential(H_iid, CorrelationSpec(0.5)).tobytes()
-        assert not np.array_equal(H, H_iid)

@@ -394,13 +394,13 @@ class TestEmit:
             assert r["degenerate_trials"] == "0"
 
 
-def _no_trials(M, K, rng, correlation=None):
+def _no_trials(M, K, rng, row_power=None):
     raise AssertionError("a trial ran before the configuration was rejected")
 
 
 def _forbid_trials(monkeypatch):
     # both draws, so an uncorrelated and a correlated trial each trip it
-    for draw in ("sample_channel", "sample_gram_factor"):
+    for draw in ("sample_iid", "sample_gram_factor"):
         monkeypatch.setattr(f"mimo_converge.montecarlo.{draw}", _no_trials)
 
 
@@ -460,6 +460,16 @@ class TestMainExitCodes:
             argv += ["--beta-min", "0.5"]
         out = tmp_path / "r.csv"
         code = main([*argv, flag, value, "--trials", "2", "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_adjacent_correlation_rounding_to_one_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # 0.5 ** 1e-300 rounds to 1.0, where R is singular: reject it before any trial
+        _forbid_trials(monkeypatch)
+        out = tmp_path / "r.csv"
+        code = main(["--mode", "fixed-K", "--K", "4", "--M", "8", "--corr-rho", "0.5",
+                     "--spacing", "1e-300", "--trials", "2", "--output", str(out)])
         assert code == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()

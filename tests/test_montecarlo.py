@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import mimo_converge.montecarlo as mc
-from mimo_converge.channel import CorrelationSpec, RngStream, sample_gram_factor, sample_iid
+from mimo_converge.channel import (
+    CorrelationSpec,
+    RngStream,
+    exp_correlation_eigenvalues,
+    sample_gram_factor,
+    sample_iid,
+)
 from mimo_converge.metrics import diagonal_dominance, lambda_ratio, mad
 from mimo_converge.montecarlo import (
     FIXED_ALPHA,
@@ -254,11 +260,11 @@ class TestDrawChoice:
     @pytest.mark.parametrize("scenario, expected", [
         (Scenario(mode=FIXED_K, K=8, sweep=(4, 16), trials=2, seed=1,
                   compute_metrics=False, compute_zf=False),
-         {("sample_channel", 4), ("sample_gram_factor", 16)}),
+         {("sample_iid", 4), ("sample_gram_factor", 16)}),
         (Scenario(mode=FIXED_K, K=4, sweep=(16,), trials=2, seed=1, correlation=CorrelationSpec(0.0)),
          {("sample_gram_factor", 16)}),
         (Scenario(mode=FIXED_K, K=4, sweep=(16,), trials=2, seed=1, correlation=CorrelationSpec(0.5)),
-         {("sample_channel", 16)}),
+         {("sample_iid", 16)}),
     ], ids=["mf-only-M-below-K", "rho-zero", "correlated"])
     def test_bartlett_factor_only_without_correlation_and_M_at_least_K(
         self, scenario, expected, monkeypatch
@@ -266,7 +272,7 @@ class TestDrawChoice:
         # an M < K Wishart is singular, and a correlated Gram has no
         # triangular factor of this law: both keep the M x K draw
         drawn = set()
-        for name in ("sample_channel", "sample_gram_factor"):
+        for name in ("sample_iid", "sample_gram_factor"):
             def spy(M, K, rng, _name=name, _draw=getattr(mc, name), **kw):
                 drawn.add((_name, M))
                 return _draw(M, K, rng, **kw)
@@ -274,6 +280,19 @@ class TestDrawChoice:
             monkeypatch.setattr(mc, name, spy)
         run_scenario(scenario)
         assert drawn == expected
+
+    def test_correlated_draw_scales_rows_by_the_eigenvalues_of_r(self, monkeypatch):
+        powers = []
+
+        def spy(M, K, rng, row_power=None):
+            powers.append(row_power)
+            return sample_iid(M, K, rng, row_power)
+
+        monkeypatch.setattr(mc, "sample_iid", spy)
+        run_scenario(Scenario(mode=FIXED_K, K=4, sweep=(16,), trials=2, seed=1,
+                              correlation=CorrelationSpec(0.8, spacing=1.5)))
+        expected = exp_correlation_eigenvalues(16, 0.8**1.5)
+        assert len(powers) == 2 and all(p.tobytes() == expected.tobytes() for p in powers)
 
 
 class TestDegenerateRetry:
@@ -349,7 +368,7 @@ class TestStackedKernel:
 
     @pytest.mark.parametrize("draw, correlation", [
         ("sample_gram_factor", None),
-        ("sample_channel", CorrelationSpec(0.5)),
+        ("sample_iid", CorrelationSpec(0.5)),
     ], ids=["iid", "correlated"])
     def test_singular_gram_inside_a_stack_is_retried_once(self, draw, correlation, monkeypatch):
         trials = 10
