@@ -248,6 +248,23 @@ class TestExpCorrelationEigenvalues:
         np.testing.assert_allclose(lam[::-1], np.linalg.eigvalsh(exp_correlation_matrix(M, spec)),
                                    rtol=1e-10)
 
+    @pytest.mark.parametrize("spacing", [1.0, 2.0])
+    @pytest.mark.parametrize("rho", [0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("M", [1, 2, 3, 64, 1000])
+    def test_row_scaled_gram_is_the_cholesky_coloured_gram(self, M, rho, spacing):
+        # The law argument draw by draw: the Cholesky factor L of R has
+        # L^H L = V diag(lambda) V^H with the eigenvalues of R, largest first,
+        # so Z^H L^H L Z = (V^H Z)^H diag(lambda) (V^H Z): scaling the rows of
+        # the rotated draw by sqrt(lambda) gives the coloured draw's Gram.
+        spec = CorrelationSpec(rho, spacing)
+        L = np.linalg.cholesky(exp_correlation_matrix(M, spec))
+        Z = sample_iid(M, 6, RngStream(14, M))
+        V = np.linalg.eigh(L.conj().T @ L)[1][:, ::-1]
+        lam = exp_correlation_eigenvalues(M, spec.r)
+        expected = stacked_gram(L @ Z)
+        error = np.linalg.norm(stacked_gram(np.sqrt(lam)[:, np.newaxis] * (V.conj().T @ Z)) - expected)
+        assert error / np.linalg.norm(expected) < 1e-12
+
     def test_trace_moments_at_the_largest_preset_size(self):
         M, r = 16384, 0.9
         lam = exp_correlation_eigenvalues(M, r)
