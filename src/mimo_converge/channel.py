@@ -8,6 +8,11 @@ Z^H L^H L Z. L^H L = V diag(lambda) V^H has the eigenvalues of R, and V^H Z
 has the law of Z, so a correlated trial draws Z with row m scaled by
 sqrt(lambda_m): the channel in R's eigenbasis. Without correlation the
 harness can draw the K x K Bartlett factor of the Gram in its place.
+
+An M x K draw is made in two steps, so that scenarios which differ only in
+their row powers can share one: sample_normals draws the 2 x M x K
+standard normals of a stream, and scale_normals turns them into the
+complex matrix with a given row scale. sample_iid does both.
 """
 
 from __future__ import annotations
@@ -41,6 +46,43 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
+_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
+
+
+class WorkerStream:
+    """A worker's draw state: one Philox generator moved from stream to stream.
+
+    keyed(seed, stream) re-keys it in place by assigning the state that
+    Philox(key=seed | stream << 64) starts from: counter 0, key
+    [seed, stream] and an empty buffer. generator() then yields the numbers
+    of RngStream(seed, stream).generator(), byte for byte, at a fraction of
+    the cost of building a generator. It hands out the one generator, so
+    each keyed(...) serves one draw; the state is not shared between
+    threads, so each worker owns one.
+    """
+
+    def __init__(self):
+        self._generator = np.random.Generator(np.random.Philox(key=0))
+        self.seed = 0
+        self.stream = 0
+
+    def keyed(self, seed: int, stream: int) -> WorkerStream:
+        """Re-key to (seed, stream), both in [0, 2**64); returns self."""
+        self._generator.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _PHILOX_ZEROS, "key": np.array([seed, stream], dtype=np.uint64)},
+            "buffer": _PHILOX_ZEROS,
+            "buffer_pos": 4,  # empty: the next draw runs the counter
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self.seed, self.stream = seed, stream
+        return self
+
+    def generator(self) -> np.random.Generator:
+        return self._generator
+
+
 @dataclass(frozen=True)
 class CorrelationSpec:
     """Exponential correlation profile of a uniform linear array.
@@ -68,6 +110,34 @@ class CorrelationSpec:
         return self.rho**self.spacing
 
 
+def sample_normals(M: int, K: int, rng: RngStream | WorkerStream, out: np.ndarray | None = None) -> np.ndarray:
+    """The 2 x M x K standard normals of an M x K draw: real parts, then imaginary.
+
+    out, a C-contiguous float64 array of that shape, receives them in place
+    of a new array. Bit-identical for identical (seed, stream).
+    """
+    if M < 1 or K < 1:
+        raise ValueError(f"M and K must be positive, got M={M}, K={K}")
+    return rng.generator().standard_normal((2, M, K), out=out)
+
+
+def row_scale(row_power: np.ndarray | None = None) -> np.ndarray | float:
+    """Factor that turns standard normal parts into those of CN(0, row_power[m]).
+
+    sqrt(row_power / 2) as an M x 1 column, or 1/sqrt(2) without row_power.
+    Multiplying by the reciprocal gives the same bits as dividing the
+    complex matrix by sqrt(2).
+    """
+    return 1.0 / np.sqrt(2.0) if row_power is None else np.sqrt(row_power / 2.0)[:, np.newaxis]
+
+
+def scale_normals(parts: np.ndarray, scale: np.ndarray | float, out: np.ndarray) -> np.ndarray:
+    """Write (parts[0] + i parts[1]) * scale into the M x K complex array out."""
+    np.multiply(parts[0], scale, out=out.real)
+    np.multiply(parts[1], scale, out=out.imag)
+    return out
+
+
 def sample_iid(M: int, K: int, rng: RngStream, row_power: np.ndarray | None = None) -> np.ndarray:
     """M x K matrix of independent circularly-symmetric complex normals.
 
@@ -75,16 +145,8 @@ def sample_iid(M: int, K: int, rng: RngStream, row_power: np.ndarray | None = No
     real and imaginary parts are each N(0, row_power[m] / 2). Bit-identical
     for identical (seed, stream).
     """
-    if M < 1 or K < 1:
-        raise ValueError(f"M and K must be positive, got M={M}, K={K}")
-    parts = rng.generator().standard_normal((2, M, K))
-    # Multiplying by the reciprocal gives the same bits as dividing the
-    # complex matrix by sqrt(2); dividing the parts in place would not.
-    parts *= 1.0 / np.sqrt(2.0) if row_power is None else np.sqrt(row_power / 2.0)[:, np.newaxis]
-    H = np.empty((M, K), dtype=np.complex128)
-    H.real = parts[0]
-    H.imag = parts[1]
-    return H
+    parts = sample_normals(M, K, rng)
+    return scale_normals(parts, row_scale(row_power), np.empty((M, K), dtype=np.complex128))
 
 
 def exp_correlation_eigenvalues(M: int, r: float) -> np.ndarray:
@@ -129,7 +191,7 @@ def _upper_flat_indices(K: int) -> np.ndarray:
     return flat
 
 
-def sample_gram_factor(M: int, K: int, rng: RngStream) -> np.ndarray:
+def sample_gram_factor(M: int, K: int, rng: RngStream | WorkerStream) -> np.ndarray:
     """K x K upper-triangular Bartlett factor R of an M x K iid CN(0, 1) draw.
 
     For M >= K the entries are independent: |R_ii|^2 ~ Gamma(M - i, 1) for

@@ -33,7 +33,7 @@ from .montecarlo import (
     ConfigError,
     Scenario,
     SweepResult,
-    run_scenario,
+    run_scenarios,
 )
 from .numerics import SingularMatrixError
 from .presets import PRESETS, STATS, build_preset, scenario_from_options
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(argv)
         _check_output(config.output)
-        results = [run_scenario(s, workers=config.workers) for s in config.scenarios]
+        results = run_scenarios(config.scenarios, workers=config.workers)
         path = emit(results, config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -7,12 +7,13 @@ the enabled statistics (channel convergence metrics, ZF SNR, MF SINR) are
 aggregated into means with standard errors. Results are bit-reproducible
 for a fixed (scenario, seed) regardless of worker count: trial t always
 uses stream t, its values land in slot t, and the reduction runs over the
-trial-ordered arrays.
+trial-ordered arrays. The scenarios of one run share each trial's draw
+wherever they visit the same point with the same seed, trial count and
+kind of draw, which leaves every scenario's bits as they are alone.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CorrelationSpec, RngStream, exp_correlation_eigenvalues, sample_gram_factor, sample_iid
+from .channel import (
+    CorrelationSpec,
+    WorkerStream,
+    exp_correlation_eigenvalues,
+    row_scale,
+    sample_gram_factor,
+    sample_normals,
+    scale_normals,
+)
 from .metrics import diagonal_dominance, lambda_ratio, mad
 from .numerics import SingularMatrixError, gram_normalized, single_threaded_blas
 from .power import PowerProfile, limiting_moments, link_gains
@@ -180,118 +189,230 @@ def _summary(values: np.ndarray, limit: float | None = None) -> StatSummary:
     )
 
 
-def _run_point(scenario: Scenario, M: int, K: int, workers: int) -> SweepPoint:
-    s = scenario
-    T = s.trials
-    profile = s.profile or PowerProfile(1.0, 1.0)  # no profile: unit gains
-    beta = link_gains(K, profile)
-    sqrt_beta = np.sqrt(beta) if s.profile is not None else None
+class _Share:
+    """One scenario's part of a group point: how it turns the shared draw into
+    its Grams, its per-trial columns and its degenerate trials."""
 
-    # Allocated before any worker starts; each worker writes its own rows.
-    cols: dict[str, np.ndarray] = {}
-    if s.compute_metrics:
-        for name in ("mad", "lambda_ratio", "diagonal_dominance"):
-            cols[name] = np.empty(T)
-    if s.compute_zf:
-        cols["zf_snr"] = np.empty(T)
-    if s.compute_mf:
-        cols["mf_sinr"] = np.empty((T, K))
-    degenerate = np.zeros(T, dtype=bool)
-    # Trials per stack: within the byte cap, and every worker gets a stack.
-    chunk = max(1, min(_STACK_BYTES // (16 * K * K), -(-T // max(1, workers))))
-    # One Gram per distinct matrix: G's, and H's only when the metrics read
-    # H and the gains make G differ from it.
-    metrics_on_h = s.compute_metrics and s.gram_source == "H" and sqrt_beta is not None
-    gram_of_g = s.compute_zf or s.compute_mf or not metrics_on_h
-    # Every statistic reads the draw only through its Gram. A correlated
-    # draw is taken in R's eigenbasis, whose Gram has the law of that of
-    # R^(1/2) times an iid draw; without correlation the Bartlett factor's
-    # Gram has the law of the M x K draw's.
-    r = 0.0 if s.correlation is None else s.correlation.r
-    if r > 0.0:
-        draw = functools.partial(sample_iid, row_power=exp_correlation_eigenvalues(M, r))
-    elif M >= K:
-        draw = sample_gram_factor
-    else:
-        draw = sample_iid
+    def __init__(self, scenario: Scenario, M: int, K: int, bartlett: bool):
+        s = self.scenario = scenario
+        self.M, self.K = M, K
+        self.profile = s.profile or PowerProfile(1.0, 1.0)  # no profile: unit gains
+        self.beta = link_gains(K, self.profile)
+        self.sqrt_beta = np.sqrt(self.beta) if s.profile is not None else None
+        # Every statistic reads the draw only through its Gram. A correlated
+        # draw is taken in R's eigenbasis, whose Gram has the law of that of
+        # R^(1/2) times an iid draw; without correlation the Bartlett factor's
+        # Gram has the law of the M x K draw's. The factor is used as drawn,
+        # and the M x K normals get this scenario's row scale.
+        r = 0.0 if s.correlation is None else s.correlation.r
+        if bartlett:
+            self.scale = None
+        else:
+            self.scale = row_scale(exp_correlation_eigenvalues(M, r) if r > 0.0 else None)
+        # One Gram per distinct matrix: G's, and H's only when the metrics read
+        # H and the gains make G differ from it.
+        self.metrics_on_h = s.compute_metrics and s.gram_source == "H" and self.sqrt_beta is not None
+        self.gram_of_g = s.compute_zf or s.compute_mf or not self.metrics_on_h
+        # Allocated before any worker starts; each worker writes its own rows.
+        T = s.trials
+        self.cols: dict[str, np.ndarray] = {}
+        if s.compute_metrics:
+            for name in ("mad", "lambda_ratio", "diagonal_dominance"):
+                self.cols[name] = np.empty(T)
+        if s.compute_zf:
+            self.cols["zf_snr"] = np.empty(T)
+        if s.compute_mf:
+            self.cols["mf_sinr"] = np.empty((T, K))
+        self.degenerate = np.zeros(T, dtype=bool)
 
-    def run_stack(rows: slice, stream_offset: int = 0) -> None:
-        """Draw the trials of rows, trial t on stream t + stream_offset, and
-        write each statistic of their stacked K x K Grams to cols[rows]. A
+    def stacks(self, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Empty stacks of n Grams of G and of H, None where none is formed."""
+        shape = (n, self.K, self.K)
+        return (
+            np.empty(shape, dtype=np.complex128) if self.gram_of_g else None,
+            np.empty(shape, dtype=np.complex128) if self.metrics_on_h else None,
+        )
+
+    def add_trial(self, stacks, i: int, draw: np.ndarray, H: np.ndarray, C: np.ndarray) -> None:
+        """Write the Grams of one trial to slot i of the stacks.
+
+        draw is the shared Bartlett factor or normals, which stay as they
+        are; H and C are worker buffers of the drawn matrix's shape, for
+        this scenario's channel and the conjugate inside each Gram.
+        """
+        gram_g, gram_h = stacks
+        if self.scale is not None:
+            draw = scale_normals(draw, self.scale, H)
+        if gram_h is not None:
+            gram_h[i] = gram_normalized(draw, C)
+        G = draw if self.sqrt_beta is None else np.multiply(draw, self.sqrt_beta, out=H)
+        if gram_g is not None:
+            gram_g[i] = gram_normalized(G, C)
+
+    def write(self, rows: slice, gram_g: np.ndarray | None, gram_h: np.ndarray | None) -> None:
+        """Write each statistic of the stacked Grams of rows to cols[rows]. A
         slice of a stack gets the same bits as a stack of one; one degenerate
         trial raises SingularMatrixError for the whole stack."""
-        shape = (rows.stop - rows.start, K, K)
-        gram_g = np.empty(shape, dtype=np.complex128) if gram_of_g else None
-        gram_h = np.empty(shape, dtype=np.complex128) if metrics_on_h else None
-        for i, t in enumerate(range(rows.start, rows.stop)):
-            H = draw(M, K, RngStream(s.seed, t + stream_offset))
-            G = H if sqrt_beta is None else H * sqrt_beta
-            if gram_g is not None:
-                gram_g[i] = gram_normalized(G)
-            if gram_h is not None:
-                gram_h[i] = gram_normalized(H)
-            del H, G  # free this draw before the next, so a worker holds one at a time
+        s, cols = self.scenario, self.cols
         if s.compute_zf:
             cols["zf_snr"][rows] = zf_snr_from_gram(gram_g, s.rho_f)
         if s.compute_mf:
             cols["mf_sinr"][rows] = mf_sinr_from_gram(gram_g, s.rho_f)
         if s.compute_metrics:
             W = gram_g if gram_h is None else gram_h
-            W /= M  # in place: the precoders have read gram_g already
-            cols["mad"][rows] = mad(W - np.eye(K))
+            W /= self.M  # in place: the precoders have read gram_g already
+            cols["mad"][rows] = mad(W - np.eye(self.K))
             cols["lambda_ratio"][rows] = lambda_ratio(W)
             cols["diagonal_dominance"][rows] = diagonal_dominance(W)
 
-    def run_chunk(start: int) -> None:
-        rows = slice(start, min(start + chunk, T))
-        try:
-            run_stack(rows)
-        except SingularMatrixError:
-            # Find the degenerate trials one at a time. Each gets one retry on
-            # a stream past all primary streams, so no two draws collide.
-            for t in range(start, rows.stop):
-                try:
-                    run_stack(slice(t, t + 1))
-                except SingularMatrixError:
-                    degenerate[t] = True
-                    run_stack(slice(t, t + 1), stream_offset=T)
+    def point(self) -> SweepPoint:
+        s, cols, K = self.scenario, self.cols, self.K
+        alpha_pt = self.M / K
+        mean_beta, mean_inv_beta = limiting_moments(self.profile)
+        has_limits = alpha_pt > 1
 
-    if workers <= 1:
-        for start in range(0, T, chunk):
-            run_chunk(start)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, range(0, T, chunk)))
+        stats: dict[str, StatSummary] = {}
+        for name in ("mad", "lambda_ratio", "diagonal_dominance"):
+            if name in cols:
+                stats[name] = _summary(cols[name])
+        if s.compute_zf:
+            # sweep_points requires M > K wherever ZF is on
+            stats["zf_snr"] = _summary(cols["zf_snr"], zf_snr_limit(s.rho_f, alpha_pt, mean_inv_beta))
+        if s.compute_mf:
+            user_limits = (
+                [mf_sinr_limit(s.rho_f, alpha_pt, float(b), mean_beta) for b in self.beta]
+                if has_limits
+                else [None] * K
+            )
+            mean_limit = float(np.mean(user_limits)) if has_limits else None
+            stats["mf_sinr_mean"] = _summary(cols["mf_sinr"].mean(axis=1), mean_limit)
+            for i in range(K):
+                stats[f"mf_sinr_user_{i + 1:03d}"] = _summary(cols["mf_sinr"][:, i], user_limits[i])
 
-    alpha_pt = M / K
-    mean_beta, mean_inv_beta = limiting_moments(profile)
-    has_limits = alpha_pt > 1
-
-    stats: dict[str, StatSummary] = {}
-    for name in ("mad", "lambda_ratio", "diagonal_dominance"):
-        if name in cols:
-            stats[name] = _summary(cols[name])
-    if s.compute_zf:
-        # sweep_points requires M > K wherever ZF is on
-        stats["zf_snr"] = _summary(cols["zf_snr"], zf_snr_limit(s.rho_f, alpha_pt, mean_inv_beta))
-    if s.compute_mf:
-        user_limits = (
-            [mf_sinr_limit(s.rho_f, alpha_pt, float(b), mean_beta) for b in beta]
-            if has_limits
-            else [None] * K
+        return SweepPoint(
+            M=self.M,
+            K=K,
+            alpha=alpha_pt,
+            stats=stats,
+            degenerate_trials=int(self.degenerate.sum()),
         )
-        mean_limit = float(np.mean(user_limits)) if has_limits else None
-        stats["mf_sinr_mean"] = _summary(cols["mf_sinr"].mean(axis=1), mean_limit)
-        for i in range(K):
-            stats[f"mf_sinr_user_{i + 1:03d}"] = _summary(cols["mf_sinr"][:, i], user_limits[i])
 
-    return SweepPoint(
-        M=M,
-        K=K,
-        alpha=alpha_pt,
-        stats=stats,
-        degenerate_trials=int(degenerate.sum()),
-    )
+
+def _draws_bartlett(scenario: Scenario, M: int, K: int) -> bool:
+    """Whether the scenario's trials at (M, K) draw the Bartlett factor: an
+    M < K Wishart is singular, and a correlated Gram has no triangular factor
+    of this law, so both draw the M x K normals."""
+    r = 0.0 if scenario.correlation is None else scenario.correlation.r
+    return r == 0.0 and M >= K
+
+
+def _run_group(
+    shares: list[_Share], seed: int, T: int, bartlett: bool,
+    states: list[WorkerStream], pool: ThreadPoolExecutor,
+) -> None:
+    """Run the T trials of one group point, each drawn once for all shares.
+
+    Trial t is drawn on stream t. Of n workers, worker w takes every n-th
+    stack of trials from the w-th on, and fills buffers of its own that live
+    for the point: the shared normals, each share's channel H, and the
+    conjugate C inside a Gram. A lone share draws its normals into C's
+    memory, since it has scaled them into H before C is written.
+    """
+    M, K = shares[0].M, shares[0].K
+    # Trials per stack: within the byte cap, and every worker gets a stack.
+    chunk = max(1, min(_STACK_BYTES // (16 * K * K), -(-T // len(states))))
+    starts = range(0, T, chunk)
+    workers = min(len(states), len(starts))
+
+    def run_worker(w: int) -> None:
+        rng = states[w]
+        shape = (K, K) if bartlett else (M, K)
+        H = np.empty(shape, dtype=np.complex128)
+        C = np.empty(shape, dtype=np.complex128)
+        if bartlett:
+            normals = None
+        elif len(shares) == 1:
+            normals = C.view(np.float64).reshape(2, M, K)
+        else:
+            normals = np.empty((2, M, K))
+
+        def fill(group: list[_Share], rows: slice, stream_offset: int = 0) -> list[tuple]:
+            """Draw the trials of rows, trial t on stream t + stream_offset, and
+            stack every share's Grams of them."""
+            stacks = [share.stacks(rows.stop - rows.start) for share in group]
+            for i, t in enumerate(range(rows.start, rows.stop)):
+                keyed = rng.keyed(seed, t + stream_offset)
+                if bartlett:
+                    draw = sample_gram_factor(M, K, keyed)
+                else:
+                    draw = sample_normals(M, K, keyed, out=normals)
+                for share, stack in zip(group, stacks):
+                    share.add_trial(stack, i, draw, H, C)
+            return stacks
+
+        def find_degenerate(share: _Share, rows: slice) -> None:
+            """Run the share's trials of rows one at a time. A degenerate one
+            gets one retry on a stream past all primary streams, so no two
+            draws collide."""
+            for t in range(rows.start, rows.stop):
+                one = slice(t, t + 1)
+                try:
+                    share.write(one, *fill([share], one)[0])
+                except SingularMatrixError:
+                    share.degenerate[t] = True
+                    share.write(one, *fill([share], one, stream_offset=T)[0])
+
+        def run_stack(rows: slice) -> None:
+            """Run a stack of trials for every share; a share whose stack holds
+            a degenerate trial looks for it alone."""
+            try:
+                stacks = fill(shares, rows)
+            except SingularMatrixError:  # a draw raised: every share looks for it
+                failed = shares
+            else:
+                failed = []
+                for share, stack in zip(shares, stacks):
+                    try:
+                        share.write(rows, *stack)
+                    except SingularMatrixError:
+                        failed.append(share)
+            for share in failed:
+                find_degenerate(share, rows)
+
+        for start in starts[w::workers]:
+            run_stack(slice(start, min(start + chunk, T)))
+
+    if workers == 1:
+        run_worker(0)
+    else:
+        list(pool.map(run_worker, range(workers)))
+
+
+def run_scenarios(scenarios: list[Scenario], workers: int = 1) -> list[SweepResult]:
+    """Run the scenarios of one run together, point by point.
+
+    Every scenario is validated before the first trial. Scenarios that visit
+    the same (M, K) with equal seed and trials and the same kind of draw,
+    the Bartlett factor or the M x K normals, form a group there, and each
+    trial of a group is drawn once: every scenario then applies its own row
+    scale, gains and Grams. Statistics, limits and the degenerate retry stay
+    per scenario, so each result equals run_scenario's for its scenario.
+    """
+    grids = [sweep_points(s) for s in scenarios]
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for i, (s, grid) in enumerate(zip(scenarios, grids)):
+        for j, (M, K) in enumerate(grid):
+            key = (M, K, int(s.seed), int(s.trials), _draws_bartlett(s, M, K))
+            groups.setdefault(key, []).append((i, j))
+    points: list[list] = [[None] * len(grid) for grid in grids]
+    states = [WorkerStream() for _ in range(max(1, workers))]
+    with single_threaded_blas(), ThreadPoolExecutor(max_workers=len(states)) as pool:
+        for (M, K, seed, T, bartlett), members in groups.items():
+            shares = [_Share(scenarios[i], M, K, bartlett) for i, _ in members]
+            _run_group(shares, seed, T, bartlett, states, pool)
+            for (i, j), share in zip(members, shares):
+                points[i][j] = share.point()
+    return [SweepResult(scenario=s, points=p) for s, p in zip(scenarios, points)]
 
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> SweepResult:
@@ -303,7 +424,4 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> SweepResult:
     Raises ConfigError on an invalid scenario and SingularMatrixError if a
     trial stays degenerate after its one retry.
     """
-    points = sweep_points(scenario)
-    with single_threaded_blas():
-        swept = [_run_point(scenario, M, K, workers) for M, K in points]
-    return SweepResult(scenario=scenario, points=swept)
+    return run_scenarios([scenario], workers)[0]

@@ -86,17 +86,22 @@ def single_threaded_blas():
                     set_threads(n)
 
 
-def gram_normalized(A: np.ndarray) -> np.ndarray:
+def gram_normalized(A: np.ndarray, conj: np.ndarray | None = None) -> np.ndarray:
     """Gram matrix conj(A).T @ A, normalized to an exactly Hermitian form.
 
     The result is exactly Hermitian PSD with a real nonnegative diagonal;
     its dimension is the column count of A. Dividing it by a positive real,
-    such as the antenna count M, keeps it exactly Hermitian.
+    such as the antenna count M, keeps it exactly Hermitian. conj, an array
+    of A's shape and dtype, receives conj(A) in place of a new array.
     """
-    B = A.conj().T @ A
-    # Rebuild B from its lower triangle so Hermitian symmetry is exact.
+    # A.conj() of a real A is A itself, which matmul takes to syrk: keep those bits.
+    B = np.matmul((A.conj() if conj is None else np.conjugate(A, out=conj)).T, A)
+    # Rebuild B from its lower triangle so Hermitian symmetry is exact, adding
+    # in place: the bits of low + low.conj().T + diag with fewer temporaries.
     low = np.tril(B, -1)
-    return low + low.conj().T + np.diag(B.diagonal().real)
+    low += np.conjugate(low.T)
+    low += np.diag(B.diagonal().real)
+    return low
 
 
 def inverse_trace(W: np.ndarray) -> np.ndarray:

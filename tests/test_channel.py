@@ -15,9 +15,13 @@ import pytest
 from mimo_converge.channel import (
     CorrelationSpec,
     RngStream,
+    WorkerStream,
     exp_correlation_eigenvalues,
+    row_scale,
     sample_gram_factor,
     sample_iid,
+    sample_normals,
+    scale_normals,
 )
 from mimo_converge.metrics import lambda_ratio
 from mimo_converge.numerics import inverse_trace
@@ -59,6 +63,50 @@ class TestRngStream:
     def test_key_holds_seed_low_and_stream_high(self):
         key = RngStream(2**64 - 1, 5).generator().bit_generator.state["state"]["key"]
         assert key.tolist() == [2**64 - 1, 5]
+
+
+class TestWorkerStream:
+    STREAMS = [0, 1, 7, 2**40, 2**64 - 1]
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+    def test_rekeyed_stream_is_the_fresh_stream(self, seed):
+        # one state moved through every stream, each left part-way through a
+        # buffered block and with a half-used 32-bit word, as a trial leaves it
+        worker = WorkerStream()
+        for stream in self.STREAMS:
+            keyed = worker.keyed(seed, stream)
+            assert (keyed.seed, keyed.stream) == (seed, stream)
+            for draw in (lambda g: g.standard_normal(7), lambda g: g.standard_gamma(np.arange(3.0, 0.0, -0.5))):
+                fresh = RngStream(seed, stream).generator()
+                assert draw(worker.keyed(seed, stream).generator()).tobytes() == draw(fresh).tobytes()
+                worker.generator().integers(2**32, size=3, dtype=np.uint32)
+
+    def test_rekeyed_draws_match(self):
+        worker = WorkerStream()
+        for stream in self.STREAMS:
+            rng = RngStream(5, stream)
+            assert sample_gram_factor(9, 4, worker.keyed(5, stream)).tobytes() == \
+                sample_gram_factor(9, 4, rng).tobytes()
+            assert sample_normals(9, 4, worker.keyed(5, stream)).tobytes() == \
+                sample_normals(9, 4, rng).tobytes()
+
+
+class TestSampleNormals:
+    def test_out_receives_the_same_normals(self):
+        out = np.empty((2, 7, 3))
+        assert sample_normals(7, 3, RngStream(4, 2), out=out) is out
+        assert out.tobytes() == sample_normals(7, 3, RngStream(4, 2)).tobytes()
+
+    def test_draw_into_the_memory_of_a_complex_buffer(self):
+        # a lone correlated scenario draws its normals into its conjugate buffer
+        C = np.empty((7, 3), dtype=np.complex128)
+        parts = sample_normals(7, 3, RngStream(4, 2), out=C.view(np.float64).reshape(2, 7, 3))
+        H = scale_normals(parts, row_scale(), np.empty((7, 3), dtype=np.complex128))
+        assert H.tobytes() == sample_iid(7, 3, RngStream(4, 2)).tobytes()
+
+    def test_rejects_bad_dims(self):
+        with pytest.raises(ValueError):
+            sample_normals(3, 0, RngStream(0))
 
 
 class TestSampleIid:

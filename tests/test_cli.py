@@ -394,13 +394,13 @@ class TestEmit:
             assert r["degenerate_trials"] == "0"
 
 
-def _no_trials(M, K, rng, row_power=None):
+def _no_trials(M, K, rng, out=None):
     raise AssertionError("a trial ran before the configuration was rejected")
 
 
 def _forbid_trials(monkeypatch):
     # both draws, so an uncorrelated and a correlated trial each trip it
-    for draw in ("sample_iid", "sample_gram_factor"):
+    for draw in ("sample_normals", "sample_gram_factor"):
         monkeypatch.setattr(f"mimo_converge.montecarlo.{draw}", _no_trials)
 
 
@@ -493,10 +493,10 @@ class TestMainExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     def test_numerical_failure_exit(self, tmp_path, monkeypatch, capsys):
-        def explode(scenario, workers=1):
+        def explode(scenarios, workers=1):
             raise SingularMatrixError("synthetic failure")
 
-        monkeypatch.setattr(cli, "run_scenario", explode)
+        monkeypatch.setattr(cli, "run_scenarios", explode)
         code = main(["--preset", "fig4", "--trials", "2", "--output", str(tmp_path / "x.csv")])
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err

@@ -10,7 +10,9 @@ import csv
 import ctypes
 import glob
 import hashlib
+import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -196,3 +198,66 @@ def test_bytes_independent_of_blas_threads_and_workers(tmp_path):
             if _sha256(out) != GOLDEN_SHA256["fig6"]:
                 mismatches.append((threads, workers))
     assert not mismatches, _off_golden(f"fig6 at (OPENBLAS_NUM_THREADS, --workers) {mismatches}")
+
+
+# Kernels that OPENBLAS_CORETYPE forces in place of the one OpenBLAS picks:
+# the AVX2 kernel and a pre-AVX one. Their bytes differ from the golden
+# ones, but every number agrees to about 1e-12 relative: the 12 printed
+# digits move by one in the last place at most.
+CROSS_KERNELS = ("Haswell", "Prescott")
+CROSS_KERNEL_RTOL = 1e-10
+
+
+def _has_avx2() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("AVX2"))
+
+
+def _cells_agree(a: str, b: str) -> bool:
+    if a == b:
+        return True
+    try:
+        return math.isclose(float(a), float(b), rel_tol=CROSS_KERNEL_RTOL, abs_tol=0.0)
+    except ValueError:  # a text cell that differs
+        return False
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64") or not _has_avx2(),
+    reason="OPENBLAS_CORETYPE names x86-64 kernels, and the Haswell one needs AVX2",
+)
+def test_cells_agree_across_openblas_kernels(tmp_path, golden_csv):
+    # OpenBLAS reads OPENBLAS_CORETYPE only when it loads, so every kernel
+    # needs a fresh interpreter.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    src = str(Path(mimo_converge.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    presets = sorted(GOLDEN_SHA256)
+    script = (
+        "import sys\n"
+        "from mimo_converge.cli import main\n"
+        "for name in sys.argv[2:]:\n"
+        f"    args = ['--preset', name, *{RUN_ARGS!r}, '--workers', '1']\n"
+        "    assert main([*args, '--output', f'{sys.argv[1]}/{name}.csv']) == 0\n"
+    )
+    mismatches = []
+    for kernel in CROSS_KERNELS:
+        out = tmp_path / kernel
+        out.mkdir()
+        subprocess.run([sys.executable, "-c", script, str(out), *presets],
+                       env={**env, "OPENBLAS_CORETYPE": kernel},
+                       check=True, capture_output=True, timeout=300)
+        for preset in presets:
+            with open(golden_csv(preset), newline="") as fh:
+                default = list(csv.reader(fh))
+            with open(out / f"{preset}.csv", newline="") as fh:
+                forced = list(csv.reader(fh))
+            assert len(forced) == len(default), (kernel, preset)
+            for row, (a_row, b_row) in enumerate(zip(default, forced)):
+                assert len(a_row) == len(b_row), (kernel, preset, row)
+                mismatches += [(kernel, preset, row, a, b)
+                               for a, b in zip(a_row, b_row) if not _cells_agree(a, b)]
+    assert not mismatches, mismatches[:10]

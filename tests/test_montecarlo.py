@@ -1,5 +1,7 @@
 """Sweep-harness tests: reproducibility, aggregation, validation, retry."""
 
+import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,11 +23,13 @@ from mimo_converge.montecarlo import (
     Scenario,
     StatSummary,
     run_scenario,
+    run_scenarios,
     sweep_points,
 )
 from mimo_converge.numerics import SingularMatrixError, gram_normalized, inverse_trace
 from mimo_converge.power import PowerProfile, link_gains
 from mimo_converge.precoding import mf_sinr_from_gram, zf_snr_from_gram
+from mimo_converge.presets import build_preset
 
 
 def _scenario(**kw):
@@ -246,10 +250,10 @@ class TestOneGramPerMatrix:
         # they read H's and the gains make H differ from G
         calls = 0
 
-        def spy(A):
+        def spy(A, conj=None):
             nonlocal calls
             calls += 1
-            return gram_normalized(A)
+            return gram_normalized(A, conj)
 
         monkeypatch.setattr(mc, "gram_normalized", spy)
         run_scenario(_scenario(trials=7, **kw))
@@ -260,11 +264,11 @@ class TestDrawChoice:
     @pytest.mark.parametrize("scenario, expected", [
         (Scenario(mode=FIXED_K, K=8, sweep=(4, 16), trials=2, seed=1,
                   compute_metrics=False, compute_zf=False),
-         {("sample_iid", 4), ("sample_gram_factor", 16)}),
+         {("sample_normals", 4), ("sample_gram_factor", 16)}),
         (Scenario(mode=FIXED_K, K=4, sweep=(16,), trials=2, seed=1, correlation=CorrelationSpec(0.0)),
          {("sample_gram_factor", 16)}),
         (Scenario(mode=FIXED_K, K=4, sweep=(16,), trials=2, seed=1, correlation=CorrelationSpec(0.5)),
-         {("sample_iid", 16)}),
+         {("sample_normals", 16)}),
     ], ids=["mf-only-M-below-K", "rho-zero", "correlated"])
     def test_bartlett_factor_only_without_correlation_and_M_at_least_K(
         self, scenario, expected, monkeypatch
@@ -272,7 +276,7 @@ class TestDrawChoice:
         # an M < K Wishart is singular, and a correlated Gram has no
         # triangular factor of this law: both keep the M x K draw
         drawn = set()
-        for name in ("sample_iid", "sample_gram_factor"):
+        for name in ("sample_normals", "sample_gram_factor"):
             def spy(M, K, rng, _name=name, _draw=getattr(mc, name), **kw):
                 drawn.add((_name, M))
                 return _draw(M, K, rng, **kw)
@@ -282,17 +286,21 @@ class TestDrawChoice:
         assert drawn == expected
 
     def test_correlated_draw_scales_rows_by_the_eigenvalues_of_r(self, monkeypatch):
-        powers = []
+        # at equal powers the one Gram per trial is H's: H must be the
+        # sample_iid draw of the trial's stream with R's eigenvalues as row powers
+        channels = []
 
-        def spy(M, K, rng, row_power=None):
-            powers.append(row_power)
-            return sample_iid(M, K, rng, row_power)
+        def spy(A, conj=None):
+            channels.append(A.copy())
+            return gram_normalized(A, conj)
 
-        monkeypatch.setattr(mc, "sample_iid", spy)
+        monkeypatch.setattr(mc, "gram_normalized", spy)
         run_scenario(Scenario(mode=FIXED_K, K=4, sweep=(16,), trials=2, seed=1,
                               correlation=CorrelationSpec(0.8, spacing=1.5)))
         expected = exp_correlation_eigenvalues(16, 0.8**1.5)
-        assert len(powers) == 2 and all(p.tobytes() == expected.tobytes() for p in powers)
+        assert [H.tobytes() for H in channels] == [
+            sample_iid(16, 4, RngStream(1, t), row_power=expected).tobytes() for t in range(2)
+        ]
 
 
 class TestDegenerateRetry:
@@ -368,7 +376,7 @@ class TestStackedKernel:
 
     @pytest.mark.parametrize("draw, correlation", [
         ("sample_gram_factor", None),
-        ("sample_iid", CorrelationSpec(0.5)),
+        ("sample_normals", CorrelationSpec(0.5)),
     ], ids=["iid", "correlated"])
     def test_singular_gram_inside_a_stack_is_retried_once(self, draw, correlation, monkeypatch):
         trials = 10
@@ -379,7 +387,7 @@ class TestStackedKernel:
             draws.append(rng.stream)
             H = original(M, K, rng, **kw)
             if rng.stream == 2:
-                H[:, 1] = 0.0
+                H[..., 1] = 0.0  # column 1 of the factor, or of both parts of the normals
             return H
 
         def replaced(M, K, rng, **kw):
@@ -423,3 +431,125 @@ class TestStackedKernel:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+_CORR_GRID = dict(mode=FIXED_K, K=6, sweep=(4, 8, 24), trials=9, seed=5, compute_metrics=False)
+_METRICS_GRID = dict(mode=FIXED_ALPHA, alpha=3.0, sweep=(2, 4), trials=9, seed=6,
+                     correlation=CorrelationSpec(0.6), profile=PowerProfile(0.2, 1.0))
+
+# Runs whose scenarios share draws, or must not, and how many raw M x K
+# draws (sample_normals calls) each makes: one per trial per group.
+SHARED_RUNS = {
+    "fig6": (build_preset("fig6", seed=3, trials=5), 5 * 5),
+    "fig7": (build_preset("fig7", seed=3, trials=5), 5 * 5),
+    # M = 4 < K draws the normals in both; the correlated one alone draws
+    # them at M = 8 and 24, where the uncorrelated one takes the Bartlett factor
+    "correlated-and-iid": ([
+        Scenario(**_CORR_GRID, correlation=CorrelationSpec(0.7), compute_zf=False),
+        Scenario(**_CORR_GRID, compute_zf=False),
+    ], 3 * 9),
+    "unequal-seeds": ([
+        Scenario(**{**_CORR_GRID, "sweep": (8, 24)}, correlation=CorrelationSpec(0.7)),
+        Scenario(**{**_CORR_GRID, "sweep": (8, 24), "seed": 4}, correlation=CorrelationSpec(0.7)),
+    ], 2 * 2 * 9),
+    "unequal-trials": ([
+        Scenario(**{**_CORR_GRID, "sweep": (8, 24)}, correlation=CorrelationSpec(0.7)),
+        Scenario(**{**_CORR_GRID, "sweep": (8, 24), "trials": 8}, correlation=CorrelationSpec(0.5)),
+    ], 2 * 9 + 2 * 8),
+    "metrics-gram-H-and-G": ([
+        Scenario(**_METRICS_GRID, gram_source="H"),
+        Scenario(**_METRICS_GRID, gram_source="G", compute_zf=False, compute_mf=False),
+        Scenario(**{**_METRICS_GRID, "correlation": CorrelationSpec(0.9)}, gram_source="G"),
+    ], 2 * 9),
+}
+
+
+def _count_normals(monkeypatch):
+    """Count the raw M x K draws the harness makes."""
+    streams = []
+    original = mc.sample_normals
+
+    def spy(M, K, rng, out=None):
+        streams.append(rng.stream)
+        return original(M, K, rng, out=out)
+
+    monkeypatch.setattr(mc, "sample_normals", spy)
+    return streams
+
+
+class TestRunScenarios:
+    @pytest.mark.parametrize("stack_bytes", [None, 1], ids=["stacked", "one-per-stack"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("run", sorted(SHARED_RUNS))
+    def test_equals_separate_runs(self, run, workers, stack_bytes, monkeypatch):
+        scenarios, _ = SHARED_RUNS[run]
+        if stack_bytes is not None:
+            monkeypatch.setattr(mc, "_STACK_BYTES", stack_bytes)
+        separate = [run_scenario(s, workers=workers) for s in scenarios]
+        assert run_scenarios(scenarios, workers=workers) == separate
+
+    @pytest.mark.parametrize("run", sorted(SHARED_RUNS))
+    def test_one_raw_draw_per_trial_per_group(self, run, monkeypatch):
+        scenarios, draws = SHARED_RUNS[run]
+        streams = _count_normals(monkeypatch)
+        run_scenarios(scenarios, workers=2)
+        assert len(streams) == draws
+
+    def test_retry_stays_with_its_scenario(self, monkeypatch):
+        # a zero column in rho = 0.5's channel of trial 2 makes its Gram
+        # singular; rho = 0.9 shares the draw, and must neither see the
+        # degenerate trial nor pay for its retry
+        trials = 10
+        pair = [_scenario(trials=trials, correlation=CorrelationSpec(rho)) for rho in (0.5, 0.9)]
+        singular_scale = mc.row_scale(exp_correlation_eigenvalues(100, 0.5))
+        local = threading.local()
+        original_draw, original_scale = mc.sample_normals, mc.scale_normals
+
+        def draw(M, K, rng, out=None):
+            local.stream = rng.stream
+            return original_draw(M, K, rng, out=out)
+
+        def scale(parts, factor, out):
+            H = original_scale(parts, factor, out)
+            if local.stream == 2 and np.array_equal(factor, singular_scale):
+                H[:, 1] = 0.0
+            return H
+
+        monkeypatch.setattr(mc, "sample_normals", draw)
+        monkeypatch.setattr(mc, "scale_normals", scale)
+        for workers in (1, 2):
+            separate = [run_scenario(s, workers=workers) for s in pair]
+            assert [r.points[0].degenerate_trials for r in separate] == [1, 0]
+            streams = _count_normals(monkeypatch)
+            assert run_scenarios(pair, workers=workers) == separate
+            # trial 2 is drawn for the pair, once more when rho = 0.5 runs its
+            # stack trial by trial, and its retry draws stream trials + 2
+            assert set(streams) == {*range(trials), trials + 2}
+            assert streams.count(2) == 2 and streams.count(trials + 2) == 1
+            monkeypatch.setattr(mc, "sample_normals", draw)
+
+    def test_infeasible_scenario_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a trial ran before the configuration was rejected")
+
+        for name in ("sample_normals", "sample_gram_factor"):
+            monkeypatch.setattr(mc, name, no_draw)
+        ok = _scenario(trials=3, correlation=CorrelationSpec(0.5))
+        infeasible = dataclasses.replace(ok, alpha=0.5)  # M < K with ZF on
+        with pytest.raises(ConfigError, match="M > K"):
+            run_scenarios([ok, infeasible])
+
+    def test_shared_correlated_pair_holds_three_draws(self):
+        # per worker: the shared normals, the channel H and the conjugate
+        # inside a Gram, one 16384 x 50 draw each
+        M, K = 16384, 50
+        pair = [Scenario(mode=FIXED_K, K=K, sweep=(M,), trials=6, seed=1,
+                         correlation=CorrelationSpec(rho), compute_zf=False, compute_mf=False)
+                for rho in (0.5, 0.9)]
+        tracemalloc.start()
+        try:
+            run_scenarios(pair)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * M * K * 16

@@ -54,6 +54,25 @@ class TestGramNormalized:
         assert np.array_equal(W, W.conj().T)
         assert W.diagonal().imag.max() == 0.0
 
+    @pytest.mark.parametrize("m, k", [(1, 1), (5, 3), (100, 10), (1000, 100), (300, 256)])
+    def test_bits_of_the_reference_rebuild(self, m, k):
+        # the reference: the Gram of conj(A).T @ A rebuilt from its lower
+        # triangle as low + low.conj().T + diag, also for real input, for
+        # zero imaginary parts and for negative zeros
+        def reference(A):
+            B = A.conj().T @ A
+            low = np.tril(B, -1)
+            return low + low.conj().T + np.diag(B.diagonal().real)
+
+        A = _random_complex(m, k, seed=m + k)
+        imag_zero = A.real - 0j
+        for X in (A, imag_zero, -0.0 * A, A.real.copy()):
+            assert gram_normalized(X).tobytes() == reference(X).tobytes()
+        conj = np.empty_like(A)
+        for X in (A, imag_zero):
+            assert gram_normalized(X, conj).tobytes() == reference(X).tobytes()
+            assert conj.tobytes() == X.conj().tobytes()
+
     @given(st.integers(2, 12), st.integers(1, 12), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_psd_up_to_slack(self, m, k, seed):
