@@ -1,6 +1,6 @@
 """Monte Carlo study of massive MIMO convergence toward large-antenna limits."""
 
-from .channel import CorrelationSpec, RngStream
+from .channel import CorrelationSpec
 from .montecarlo import (
     ConfigError,
     Scenario,
@@ -20,7 +20,6 @@ __all__ = [
     "CorrelationSpec",
     "PRESETS",
     "PowerProfile",
-    "RngStream",
     "Scenario",
     "SingularMatrixError",
     "StatSummary",

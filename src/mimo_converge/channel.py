@@ -9,10 +9,12 @@ has the law of Z, so a correlated trial draws Z with row m scaled by
 sqrt(lambda_m): the channel in R's eigenbasis. Without correlation the
 harness can draw the K x K Bartlett factor of the Gram in its place.
 
-An M x K draw is made in two steps, so that scenarios which differ only in
-their row powers can share one: sample_normals draws the 2 x M x K
-standard normals of a stream, and scale_normals turns them into the
-complex matrix with a given row scale. sample_iid does both.
+Every draw reads an RngStream, the Philox stream of one (seed, stream)
+pair; the sweep harness gives each worker one and moves it from trial to
+trial. An M x K draw is made in two steps, so that scenarios which differ
+only in their row powers can share one: sample_normals draws the
+2 x M x K standard normals of a stream, and scale_normals turns them into
+the complex matrix with a given row scale. sample_iid does both.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
+
+
 class RngStream:
     """Counter-based random stream, fully determined by (seed, stream).
 
@@ -32,54 +36,36 @@ class RngStream:
     assigned stream = trial index and distributed over any number of workers
     without coordination or loss of reproducibility. seed and stream each
     fill 64 bits of the key, so both must lie in [0, 2**64).
+
+    An RngStream owns one generator, and each generator() call assigns it
+    the state that Philox(key=seed | stream << 64) starts from: counter 0,
+    key [seed, stream] and an empty buffer. Every draw that is handed the
+    stream thus gets its numbers from the start. keyed(seed, stream) moves
+    it to another stream at a fraction of the cost of a new generator, so a
+    worker owns one and moves it from trial to trial; it is not shared
+    between threads.
     """
 
-    seed: int
-    stream: int = 0
+    def __init__(self, seed: int, stream: int = 0):
+        if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
+            raise ValueError(f"seed and stream must be in [0, 2**64), got {seed}, {stream}")
+        self._generator = np.random.Generator(np.random.Philox(key=0))
+        self.seed, self.stream = seed, stream
 
-    def __post_init__(self):
-        if not (0 <= self.seed < 2**64 and 0 <= self.stream < 2**64):
-            raise ValueError(f"seed and stream must be in [0, 2**64), got {self.seed}, {self.stream}")
+    def keyed(self, seed: int, stream: int) -> RngStream:
+        """Move to (seed, stream), both in [0, 2**64) unchecked; returns self."""
+        self.seed, self.stream = seed, stream
+        return self
 
     def generator(self) -> np.random.Generator:
-        key = int(self.seed) | (int(self.stream) << 64)  # numpy integers would overflow
-        return np.random.Generator(np.random.Philox(key=key))
-
-
-_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
-
-
-class WorkerStream:
-    """A worker's draw state: one Philox generator moved from stream to stream.
-
-    keyed(seed, stream) re-keys it in place by assigning the state that
-    Philox(key=seed | stream << 64) starts from: counter 0, key
-    [seed, stream] and an empty buffer. generator() then yields the numbers
-    of RngStream(seed, stream).generator(), byte for byte, at a fraction of
-    the cost of building a generator. It hands out the one generator, so
-    each keyed(...) serves one draw; the state is not shared between
-    threads, so each worker owns one.
-    """
-
-    def __init__(self):
-        self._generator = np.random.Generator(np.random.Philox(key=0))
-        self.seed = 0
-        self.stream = 0
-
-    def keyed(self, seed: int, stream: int) -> WorkerStream:
-        """Re-key to (seed, stream), both in [0, 2**64); returns self."""
         self._generator.bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {"counter": _PHILOX_ZEROS, "key": np.array([seed, stream], dtype=np.uint64)},
+            "state": {"counter": _PHILOX_ZEROS, "key": np.array([self.seed, self.stream], dtype=np.uint64)},
             "buffer": _PHILOX_ZEROS,
             "buffer_pos": 4,  # empty: the next draw runs the counter
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self.seed, self.stream = seed, stream
-        return self
-
-    def generator(self) -> np.random.Generator:
         return self._generator
 
 
@@ -110,7 +96,7 @@ class CorrelationSpec:
         return self.rho**self.spacing
 
 
-def sample_normals(M: int, K: int, rng: RngStream | WorkerStream, out: np.ndarray | None = None) -> np.ndarray:
+def sample_normals(M: int, K: int, rng: RngStream, out: np.ndarray | None = None) -> np.ndarray:
     """The 2 x M x K standard normals of an M x K draw: real parts, then imaginary.
 
     out, a C-contiguous float64 array of that shape, receives them in place
@@ -191,7 +177,7 @@ def _upper_flat_indices(K: int) -> np.ndarray:
     return flat
 
 
-def sample_gram_factor(M: int, K: int, rng: RngStream | WorkerStream) -> np.ndarray:
+def sample_gram_factor(M: int, K: int, rng: RngStream) -> np.ndarray:
     """K x K upper-triangular Bartlett factor R of an M x K iid CN(0, 1) draw.
 
     For M >= K the entries are independent: |R_ii|^2 ~ Gamma(M - i, 1) for

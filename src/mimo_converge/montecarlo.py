@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import (
     CorrelationSpec,
-    WorkerStream,
+    RngStream,
     exp_correlation_eigenvalues,
     row_scale,
     sample_gram_factor,
@@ -88,8 +88,12 @@ class StatSummary:
 
     @property
     def rel_gap(self) -> float | None:
-        """Relative gap |mean - limit| / |limit| to the limit, None without one."""
-        return None if self.limit is None else abs(self.mean - self.limit) / abs(self.limit)
+        """Relative gap |mean - limit| / |limit| to the limit, None without one.
+        IEEE division: inf at a zero limit, nan when the mean is zero too."""
+        if self.limit is None:
+            return None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(abs(self.mean - self.limit)) / abs(self.limit))
 
 
 @dataclass(frozen=True)
@@ -308,7 +312,7 @@ def _draws_bartlett(scenario: Scenario, M: int, K: int) -> bool:
 
 def _run_group(
     shares: list[_Share], seed: int, T: int, bartlett: bool,
-    states: list[WorkerStream], pool: ThreadPoolExecutor,
+    states: list[RngStream], pool: ThreadPoolExecutor,
 ) -> None:
     """Run the T trials of one group point, each drawn once for all shares.
 
@@ -350,37 +354,22 @@ def _run_group(
                     share.add_trial(stack, i, draw, H, C)
             return stacks
 
-        def find_degenerate(share: _Share, rows: slice) -> None:
-            """Run the share's trials of rows one at a time. A degenerate one
-            gets one retry on a stream past all primary streams, so no two
-            draws collide."""
-            for t in range(rows.start, rows.stop):
-                one = slice(t, t + 1)
-                try:
-                    share.write(one, *fill([share], one)[0])
-                except SingularMatrixError:
-                    share.degenerate[t] = True
-                    share.write(one, *fill([share], one, stream_offset=T)[0])
-
-        def run_stack(rows: slice) -> None:
-            """Run a stack of trials for every share; a share whose stack holds
-            a degenerate trial looks for it alone."""
-            try:
-                stacks = fill(shares, rows)
-            except SingularMatrixError:  # a draw raised: every share looks for it
-                failed = shares
-            else:
-                failed = []
-                for share, stack in zip(shares, stacks):
-                    try:
-                        share.write(rows, *stack)
-                    except SingularMatrixError:
-                        failed.append(share)
-            for share in failed:
-                find_degenerate(share, rows)
-
         for start in starts[w::workers]:
-            run_stack(slice(start, min(start + chunk, T)))
+            rows = slice(start, min(start + chunk, T))
+            for share, stack in zip(shares, fill(shares, rows)):
+                try:
+                    share.write(rows, *stack)
+                except SingularMatrixError:
+                    # The stack holds a degenerate trial: the share re-runs its
+                    # rows one at a time, and a degenerate one gets one retry
+                    # on a stream past all primary streams, so no two draws collide.
+                    for t in range(rows.start, rows.stop):
+                        one = slice(t, t + 1)
+                        try:
+                            share.write(one, *fill([share], one)[0])
+                        except SingularMatrixError:
+                            share.degenerate[t] = True
+                            share.write(one, *fill([share], one, stream_offset=T)[0])
 
     if workers == 1:
         run_worker(0)
@@ -405,7 +394,9 @@ def run_scenarios(scenarios: list[Scenario], workers: int = 1) -> list[SweepResu
             key = (M, K, int(s.seed), int(s.trials), _draws_bartlett(s, M, K))
             groups.setdefault(key, []).append((i, j))
     points: list[list] = [[None] * len(grid) for grid in grids]
-    states = [WorkerStream() for _ in range(max(1, workers))]
+    # A point runs no more workers than it has trials.
+    workers = min(max(1, workers), max((s.trials for s in scenarios), default=1))
+    states = [RngStream(0) for _ in range(workers)]
     with single_threaded_blas(), ThreadPoolExecutor(max_workers=len(states)) as pool:
         for (M, K, seed, T, bartlett), members in groups.items():
             shares = [_Share(scenarios[i], M, K, bartlett) for i, _ in members]

@@ -35,6 +35,12 @@ class PowerProfile:
             raise ValueError(f"beta_max must be finite, got {self.beta_max}")
         if not 0 < self.eta < 1:
             raise ValueError(f"eta must be in (0, 1), got {self.eta}")
+        moments = limiting_moments(self)
+        if not all(math.isfinite(m) and m > 0 for m in moments):
+            raise ValueError(
+                f"the limiting moments of [{self.beta_min}, {self.beta_max}] are {moments}, "
+                "not both finite and positive"
+            )
 
 
 def link_gains(K: int, profile: PowerProfile) -> np.ndarray:

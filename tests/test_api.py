@@ -12,7 +12,6 @@ PUBLIC_API = [
     "CorrelationSpec",
     "PRESETS",
     "PowerProfile",
-    "RngStream",
     "Scenario",
     "SingularMatrixError",
     "StatSummary",

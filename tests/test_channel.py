@@ -15,7 +15,6 @@ import pytest
 from mimo_converge.channel import (
     CorrelationSpec,
     RngStream,
-    WorkerStream,
     exp_correlation_eigenvalues,
     row_scale,
     sample_gram_factor,
@@ -39,6 +38,9 @@ class TestRngStream:
         a = sample_iid(8, 3, RngStream(seed=42, stream=5))
         b = sample_iid(8, 3, RngStream(seed=42, stream=5))
         assert np.array_equal(a, b)
+        # one stream handed to two draws gives both the same numbers
+        rng = RngStream(seed=42, stream=5)
+        assert np.array_equal(sample_iid(8, 3, rng), a) and np.array_equal(sample_iid(8, 3, rng), a)
 
     def test_streams_differ(self):
         a = sample_iid(8, 3, RngStream(seed=42, stream=0))
@@ -65,30 +67,39 @@ class TestRngStream:
         assert key.tolist() == [2**64 - 1, 5]
 
 
-class TestWorkerStream:
+class _NumpyKeyed:
+    """numpy's own keying of (seed, stream): the reference for a moved RngStream."""
+
+    def __init__(self, seed, stream):
+        self.seed, self.stream = seed, stream
+
+    def generator(self):
+        return np.random.Generator(np.random.Philox(key=self.seed | self.stream << 64))
+
+
+class TestKeyedStream:
     STREAMS = [0, 1, 7, 2**40, 2**64 - 1]
 
     @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
     def test_rekeyed_stream_is_the_fresh_stream(self, seed):
-        # one state moved through every stream, each left part-way through a
+        # one stream moved through every stream, each left part-way through a
         # buffered block and with a half-used 32-bit word, as a trial leaves it
-        worker = WorkerStream()
+        rng = RngStream(0)
         for stream in self.STREAMS:
-            keyed = worker.keyed(seed, stream)
-            assert (keyed.seed, keyed.stream) == (seed, stream)
+            keyed = rng.keyed(seed, stream)
+            assert keyed is rng and (keyed.seed, keyed.stream) == (seed, stream)
             for draw in (lambda g: g.standard_normal(7), lambda g: g.standard_gamma(np.arange(3.0, 0.0, -0.5))):
-                fresh = RngStream(seed, stream).generator()
-                assert draw(worker.keyed(seed, stream).generator()).tobytes() == draw(fresh).tobytes()
-                worker.generator().integers(2**32, size=3, dtype=np.uint32)
+                g = rng.keyed(seed, stream).generator()
+                assert draw(g).tobytes() == draw(_NumpyKeyed(seed, stream).generator()).tobytes()
+                g.integers(2**32, size=3, dtype=np.uint32)
 
     def test_rekeyed_draws_match(self):
-        worker = WorkerStream()
+        rng = RngStream(0)
         for stream in self.STREAMS:
-            rng = RngStream(5, stream)
-            assert sample_gram_factor(9, 4, worker.keyed(5, stream)).tobytes() == \
-                sample_gram_factor(9, 4, rng).tobytes()
-            assert sample_normals(9, 4, worker.keyed(5, stream)).tobytes() == \
-                sample_normals(9, 4, rng).tobytes()
+            assert sample_gram_factor(9, 4, rng.keyed(5, stream)).tobytes() == \
+                sample_gram_factor(9, 4, _NumpyKeyed(5, stream)).tobytes()
+            assert sample_normals(9, 4, rng.keyed(5, stream)).tobytes() == \
+                sample_normals(9, 4, _NumpyKeyed(5, stream)).tobytes()
 
 
 class TestSampleNormals:

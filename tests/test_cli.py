@@ -474,6 +474,29 @@ class TestMainExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("beta_min, beta_max", [("1e-320", "1"), ("1e-310", "1e-5")],
+                             ids=["mean-gain-zero", "mean-inverse-gain-infinite"])
+    def test_gain_range_with_overflowing_moments_is_config_error(
+        self, beta_min, beta_max, tmp_path, monkeypatch, capsys
+    ):
+        # the MF limit needs a positive mean gain, the ZF limit a finite mean inverse gain
+        _forbid_trials(monkeypatch)
+        out = tmp_path / "r.csv"
+        code = main(["--mode", "fixed-alpha", "--alpha", "10", "--K", "5", "--beta-min", beta_min,
+                     "--beta-max", beta_max, "--stats", "mf", "--trials", "5", "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert "limiting moments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_limit_prints_a_nan_gap(self, tmp_path, capsys):
+        # rho_f = 5e-324 rounds the ZF SNR and its limit to 0: the gap is 0/0
+        out = tmp_path / "r.csv"
+        code = main(["--mode", "fixed-alpha", "--alpha", "10", "--K", "5", "--rho-f", "5e-324",
+                     "--beta-min", "0.001", "--beta-max", "0.001", "--stats", "zf",
+                     "--trials", "3", "--output", str(out)])
+        assert code == EXIT_OK
+        assert "zf_snr=0 (limit 0, gap nan%)" in capsys.readouterr().out
+
     def test_seed_beyond_64_bits_is_config_error(self, tmp_path, monkeypatch, capsys):
         # a Philox key holds 64 seed bits; 2**64 must not alias seed 0
         _forbid_trials(monkeypatch)

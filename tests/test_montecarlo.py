@@ -233,6 +233,11 @@ class TestRelGap:
         stat = StatSummary(mean=-3.0, std=0.1, stderr=0.01, trials=100, limit=-4.0)
         assert stat.rel_gap == 0.25
 
+    @pytest.mark.parametrize("mean, gap", [(3.0, np.inf), (-3.0, np.inf), (0.0, np.nan)])
+    def test_zero_limit_gives_the_ieee_quotient(self, mean, gap):
+        stat = StatSummary(mean=mean, std=0.0, stderr=0.0, trials=3, limit=0.0)
+        np.testing.assert_equal(stat.rel_gap, gap)
+
     def test_statistics_without_limits_have_no_gap(self):
         (p,) = run_scenario(_scenario(compute_zf=False, compute_mf=False, trials=5)).points
         assert p.stats and all(s.rel_gap is None for s in p.stats.values())
@@ -304,31 +309,6 @@ class TestDrawChoice:
 
 
 class TestDegenerateRetry:
-    def test_single_retry_counted(self, monkeypatch):
-        trials = 10
-
-        def flaky(M, K, rng):
-            if rng.stream == 2:
-                raise SingularMatrixError("synthetic degenerate sample")
-            return sample_gram_factor(M, K, rng)
-
-        monkeypatch.setattr(mc, "sample_gram_factor", flaky)
-        p = run_scenario(_scenario(trials=trials)).points[0]
-        assert p.degenerate_trials == 1
-        assert p.stats["zf_snr"].trials == trials
-
-    def test_second_failure_propagates(self, monkeypatch):
-        trials = 10
-
-        def broken(M, K, rng):
-            if rng.stream in (2, trials + 2):
-                raise SingularMatrixError("synthetic degenerate sample")
-            return sample_gram_factor(M, K, rng)
-
-        monkeypatch.setattr(mc, "sample_gram_factor", broken)
-        with pytest.raises(SingularMatrixError):
-            run_scenario(_scenario(trials=trials))
-
     def test_clean_runs_report_zero(self):
         assert run_scenario(_scenario(trials=20)).points[0].degenerate_trials == 0
 
@@ -374,19 +354,22 @@ class TestStackedKernel:
         monkeypatch.setattr(mc, "_STACK_BYTES", 1)  # one trial per stack
         assert run_scenario(scenario, workers=workers) == stacked
 
-    @pytest.mark.parametrize("draw, correlation", [
-        ("sample_gram_factor", None),
-        ("sample_normals", CorrelationSpec(0.5)),
-    ], ids=["iid", "correlated"])
-    def test_singular_gram_inside_a_stack_is_retried_once(self, draw, correlation, monkeypatch):
+    @pytest.mark.parametrize("draw, correlation, retry_singular", [
+        ("sample_gram_factor", None, False),
+        ("sample_normals", CorrelationSpec(0.5), False),
+        ("sample_gram_factor", None, True),
+        ("sample_normals", CorrelationSpec(0.5), True),
+    ], ids=["iid", "correlated", "iid-retry-singular", "correlated-retry-singular"])
+    def test_singular_gram_inside_a_stack_is_retried_once(self, draw, correlation, retry_singular, monkeypatch):
         trials = 10
+        singular = {2, trials + 2} if retry_singular else {2}
         draws = []
         original = getattr(mc, draw)
 
         def zero_column(M, K, rng, **kw):
             draws.append(rng.stream)
             H = original(M, K, rng, **kw)
-            if rng.stream == 2:
+            if rng.stream in singular:
                 H[..., 1] = 0.0  # column 1 of the factor, or of both parts of the normals
             return H
 
@@ -397,8 +380,14 @@ class TestStackedKernel:
 
         s = _scenario(trials=trials, correlation=correlation)
         monkeypatch.setattr(mc, draw, zero_column)
+        if retry_singular:  # a trial still degenerate after its one retry fails the run
+            with pytest.raises(SingularMatrixError):
+                run_scenario(s)
+            assert draws.count(2) == 2 and draws.count(trials + 2) == 1
+            return
         retried = run_scenario(s).points[0]
         assert retried.degenerate_trials == 1
+        assert retried.stats["zf_snr"].trials == trials
         assert draws.count(2) == 2 and draws.count(trials + 2) == 1
         monkeypatch.setattr(mc, draw, replaced)
         clean = run_scenario(s).points[0]
@@ -406,8 +395,9 @@ class TestStackedKernel:
         assert retried.stats == clean.stats
 
     def test_one_draw_alive_at_a_time(self):
-        # one 16384 x 50 draw is M*K*16 bytes; the coloring and the Gram of
-        # a draw each briefly hold one more, but the previous draw must be gone
+        # one 16384 x 50 draw is M*K*16 bytes; a lone correlated scenario holds
+        # two per worker, the channel H and the conjugate inside a Gram, whose
+        # memory also takes the normals: no trial may hold a third
         M, K = 16384, 50
         s = Scenario(mode=FIXED_K, K=K, sweep=(M,), trials=6, seed=1,
                      correlation=CorrelationSpec(0.5), compute_zf=False, compute_mf=False)
@@ -527,6 +517,17 @@ class TestRunScenarios:
             assert set(streams) == {*range(trials), trials + 2}
             assert streams.count(2) == 2 and streams.count(trials + 2) == 1
             monkeypatch.setattr(mc, "sample_normals", draw)
+
+    def test_no_more_streams_than_trials(self, monkeypatch):
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            return RngStream(*args)
+
+        monkeypatch.setattr(mc, "RngStream", spy)
+        run_scenarios([_scenario(trials=2)], workers=1000)
+        assert 1 <= len(built) <= 2
 
     def test_infeasible_scenario_rejected_before_any_draw(self, monkeypatch):
         def no_draw(*args, **kwargs):

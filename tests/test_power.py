@@ -63,6 +63,8 @@ class TestLinkGains:
     @pytest.mark.parametrize("beta_min, beta_max, eta", [
         (0.1, float("inf"), 0.5), (float("inf"), float("inf"), 0.5),
         (float("nan"), 1.0, 0.5), (0.1, float("nan"), 0.5), (0.1, 1.0, float("nan")),
+        # finite bounds whose limiting moments are (0.0, nan) and (1.4e-8, inf)
+        (1e-320, 1.0, 0.5), (1e-310, 1e-5, 0.5),
     ])
     def test_non_finite_rejected(self, beta_min, beta_max, eta):
         with pytest.raises(ValueError):
