@@ -25,6 +25,7 @@ from .channel import (
     CorrelationSpec,
     RngStream,
     exp_correlation_eigenvalues,
+    gamma_shapes,
     row_scale,
     sample_gram_factor,
     sample_normals,
@@ -193,16 +194,40 @@ def _summary(values: np.ndarray, limit: float | None = None) -> StatSummary:
     )
 
 
+def _limits(scenario: Scenario, M: int, K: int) -> dict[str, float]:
+    """Large-system limit of every statistic that has one at (M, K), by row name.
+
+    run_scenarios computes them for every point before the first trial,
+    so a limit that overflows, or is not finite, is a ConfigError there.
+    """
+    s, alpha = scenario, M / K
+    profile = s.profile or PowerProfile(1.0, 1.0)  # no profile: unit gains
+    mean_beta, mean_inv_beta = limiting_moments(profile)
+    limits: dict[str, float] = {}
+    try:
+        if s.compute_zf:  # sweep_points requires M > K wherever ZF is on
+            limits["zf_snr"] = zf_snr_limit(s.rho_f, alpha, mean_inv_beta)
+        if s.compute_mf and alpha > 1:
+            users = [mf_sinr_limit(s.rho_f, alpha, float(b), mean_beta) for b in link_gains(K, profile)]
+            limits["mf_sinr_mean"] = float(np.mean(users))
+            limits.update((f"mf_sinr_user_{i + 1:03d}", u) for i, u in enumerate(users))
+    except OverflowError:  # a float ** that overflows raises where * gives inf
+        raise ConfigError(f"a large-system limit overflows at (M, K) = ({M}, {K})") from None
+    bad = [name for name, value in limits.items() if not math.isfinite(value)]
+    if bad:
+        raise ConfigError(f"large-system limit of {bad[0]} is {limits[bad[0]]} at (M, K) = ({M}, {K})")
+    return limits
+
+
 class _Share:
     """One scenario's part of a group point: how it turns the shared draw into
     its Grams, its per-trial columns and its degenerate trials."""
 
-    def __init__(self, scenario: Scenario, M: int, K: int, bartlett: bool):
+    def __init__(self, scenario: Scenario, M: int, K: int, bartlett: bool, limits: dict[str, float]):
         s = self.scenario = scenario
         self.M, self.K = M, K
-        self.profile = s.profile or PowerProfile(1.0, 1.0)  # no profile: unit gains
-        self.beta = link_gains(K, self.profile)
-        self.sqrt_beta = np.sqrt(self.beta) if s.profile is not None else None
+        self.limits = limits
+        self.sqrt_beta = np.sqrt(link_gains(K, s.profile)) if s.profile is not None else None
         # Every statistic reads the draw only through its Gram. A correlated
         # draw is taken in R's eigenbasis, whose Gram has the law of that of
         # R^(1/2) times an iid draw; without correlation the Bartlett factor's
@@ -214,9 +239,11 @@ class _Share:
         else:
             self.scale = row_scale(exp_correlation_eigenvalues(M, r) if r > 0.0 else None)
         # One Gram per distinct matrix: G's, and H's only when the metrics read
-        # H and the gains make G differ from it.
+        # H and the gains make G differ from it. A Bartlett G is upper-triangular
+        # with G^H G its Gram, so ZF inverts G itself and needs no Cholesky.
         self.metrics_on_h = s.compute_metrics and s.gram_source == "H" and self.sqrt_beta is not None
         self.gram_of_g = s.compute_zf or s.compute_mf or not self.metrics_on_h
+        self.factor_of_g = bartlett and s.compute_zf
         # Allocated before any worker starts; each worker writes its own rows.
         T = s.trials
         self.cols: dict[str, np.ndarray] = {}
@@ -229,12 +256,13 @@ class _Share:
             self.cols["mf_sinr"] = np.empty((T, K))
         self.degenerate = np.zeros(T, dtype=bool)
 
-    def stacks(self, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Empty stacks of n Grams of G and of H, None where none is formed."""
+    def stacks(self, n: int) -> tuple[np.ndarray | None, ...]:
+        """Empty stacks of n Grams of G, of n Grams of H and of n factors G,
+        None where none is kept."""
         shape = (n, self.K, self.K)
-        return (
-            np.empty(shape, dtype=np.complex128) if self.gram_of_g else None,
-            np.empty(shape, dtype=np.complex128) if self.metrics_on_h else None,
+        return tuple(
+            np.empty(shape, dtype=np.complex128) if kept else None
+            for kept in (self.gram_of_g, self.metrics_on_h, self.factor_of_g)
         )
 
     def add_trial(self, stacks, i: int, draw: np.ndarray, H: np.ndarray, C: np.ndarray) -> None:
@@ -244,22 +272,25 @@ class _Share:
         are; H and C are worker buffers of the drawn matrix's shape, for
         this scenario's channel and the conjugate inside each Gram.
         """
-        gram_g, gram_h = stacks
+        gram_g, gram_h, factor_g = stacks
         if self.scale is not None:
             draw = scale_normals(draw, self.scale, H)
         if gram_h is not None:
             gram_h[i] = gram_normalized(draw, C)
         G = draw if self.sqrt_beta is None else np.multiply(draw, self.sqrt_beta, out=H)
+        if factor_g is not None:
+            factor_g[i] = G
         if gram_g is not None:
             gram_g[i] = gram_normalized(G, C)
 
-    def write(self, rows: slice, gram_g: np.ndarray | None, gram_h: np.ndarray | None) -> None:
+    def write(self, rows: slice, gram_g: np.ndarray | None, gram_h: np.ndarray | None,
+              factor_g: np.ndarray | None) -> None:
         """Write each statistic of the stacked Grams of rows to cols[rows]. A
         slice of a stack gets the same bits as a stack of one; one degenerate
         trial raises SingularMatrixError for the whole stack."""
         s, cols = self.scenario, self.cols
         if s.compute_zf:
-            cols["zf_snr"][rows] = zf_snr_from_gram(gram_g, s.rho_f)
+            cols["zf_snr"][rows] = zf_snr_from_gram(gram_g, s.rho_f, factor_g)
         if s.compute_mf:
             cols["mf_sinr"][rows] = mf_sinr_from_gram(gram_g, s.rho_f)
         if s.compute_metrics:
@@ -270,34 +301,18 @@ class _Share:
             cols["diagonal_dominance"][rows] = diagonal_dominance(W)
 
     def point(self) -> SweepPoint:
-        s, cols, K = self.scenario, self.cols, self.K
-        alpha_pt = self.M / K
-        mean_beta, mean_inv_beta = limiting_moments(self.profile)
-        has_limits = alpha_pt > 1
-
-        stats: dict[str, StatSummary] = {}
-        for name in ("mad", "lambda_ratio", "diagonal_dominance"):
-            if name in cols:
-                stats[name] = _summary(cols[name])
-        if s.compute_zf:
-            # sweep_points requires M > K wherever ZF is on
-            stats["zf_snr"] = _summary(cols["zf_snr"], zf_snr_limit(s.rho_f, alpha_pt, mean_inv_beta))
-        if s.compute_mf:
-            user_limits = (
-                [mf_sinr_limit(s.rho_f, alpha_pt, float(b), mean_beta) for b in self.beta]
-                if has_limits
-                else [None] * K
-            )
-            mean_limit = float(np.mean(user_limits)) if has_limits else None
-            stats["mf_sinr_mean"] = _summary(cols["mf_sinr"].mean(axis=1), mean_limit)
+        cols, K = self.cols, self.K
+        columns = {name: cols[name] for name in ("mad", "lambda_ratio", "diagonal_dominance", "zf_snr")
+                   if name in cols}
+        if "mf_sinr" in cols:
+            columns["mf_sinr_mean"] = cols["mf_sinr"].mean(axis=1)
             for i in range(K):
-                stats[f"mf_sinr_user_{i + 1:03d}"] = _summary(cols["mf_sinr"][:, i], user_limits[i])
-
+                columns[f"mf_sinr_user_{i + 1:03d}"] = cols["mf_sinr"][:, i]
         return SweepPoint(
             M=self.M,
             K=K,
-            alpha=alpha_pt,
-            stats=stats,
+            alpha=self.M / K,
+            stats={name: _summary(values, self.limits.get(name)) for name, values in columns.items()},
             degenerate_trials=int(self.degenerate.sum()),
         )
 
@@ -327,6 +342,7 @@ def _run_group(
     chunk = max(1, min(_STACK_BYTES // (16 * K * K), -(-T // len(states))))
     starts = range(0, T, chunk)
     workers = min(len(states), len(starts))
+    shapes = gamma_shapes(M, K) if bartlett else None  # read-only, shared by the workers
 
     def run_worker(w: int) -> None:
         rng = states[w]
@@ -347,7 +363,7 @@ def _run_group(
             for i, t in enumerate(range(rows.start, rows.stop)):
                 keyed = rng.keyed(seed, t + stream_offset)
                 if bartlett:
-                    draw = sample_gram_factor(M, K, keyed)
+                    draw = sample_gram_factor(M, K, keyed, shapes=shapes)
                 else:
                     draw = sample_normals(M, K, keyed, out=normals)
                 for share, stack in zip(group, stacks):
@@ -388,6 +404,7 @@ def run_scenarios(scenarios: list[Scenario], workers: int = 1) -> list[SweepResu
     per scenario, so each result equals run_scenario's for its scenario.
     """
     grids = [sweep_points(s) for s in scenarios]
+    limits = [[_limits(s, M, K) for M, K in grid] for s, grid in zip(scenarios, grids)]
     groups: dict[tuple, list[tuple[int, int]]] = {}
     for i, (s, grid) in enumerate(zip(scenarios, grids)):
         for j, (M, K) in enumerate(grid):
@@ -399,7 +416,7 @@ def run_scenarios(scenarios: list[Scenario], workers: int = 1) -> list[SweepResu
     states = [RngStream(0) for _ in range(workers)]
     with single_threaded_blas(), ThreadPoolExecutor(max_workers=len(states)) as pool:
         for (M, K, seed, T, bartlett), members in groups.items():
-            shares = [_Share(scenarios[i], M, K, bartlett) for i, _ in members]
+            shares = [_Share(scenarios[i], M, K, bartlett, limits[i][j]) for i, j in members]
             _run_group(shares, seed, T, bartlett, states, pool)
             for (i, j), share in zip(members, shares):
                 points[i][j] = share.point()

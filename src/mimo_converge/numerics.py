@@ -35,28 +35,58 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 
 @functools.cache
-def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
-    """(get, set) thread-count functions of the OpenBLAS that numpy bundles.
+def _openblas_libraries() -> tuple[ctypes.CDLL, ...]:
+    """The 64-bit-integer OpenBLAS libraries that numpy bundles.
 
-    numpy's 64-bit-integer OpenBLAS is the only BLAS the simulator calls.
-    It is looked up once per process on first use, in the ``numpy.libs``
-    directory that auditwheel places next to the package.
+    numpy's OpenBLAS is the only BLAS the simulator calls. It is looked up
+    once per process on first use, in the ``numpy.libs`` directory that
+    auditwheel places next to the package.
     """
-    controls = []
+    libs = []
     libs_dir = os.path.dirname(np.__file__) + ".libs"
     for path in sorted(glob.glob(os.path.join(libs_dir, "*openblas*.so*"))):
         try:
             lib = ctypes.CDLL(path)
-            get_threads = lib.scipy_openblas_get_num_threads64_
-            set_threads = lib.scipy_openblas_set_num_threads64_
+            lib.scipy_openblas_get_num_threads64_
         except (OSError, AttributeError):  # not loadable, or not numpy's OpenBLAS
             continue
+        libs.append(lib)
+    return tuple(libs)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """(get, set) thread-count functions of each bundled OpenBLAS."""
+    controls = []
+    for lib in _openblas_libraries():
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
         get_threads.argtypes = []
         get_threads.restype = ctypes.c_int
         set_threads.argtypes = [ctypes.c_int]
         set_threads.restype = None
         controls.append((get_threads, set_threads))
     return tuple(controls)
+
+
+@functools.cache
+def _ztrtri() -> Callable[..., None] | None:
+    """LAPACK's complex triangular inverse ztrtri from the bundled OpenBLAS,
+    None where no bundled library exports it.
+
+    Fortran calling convention with 64-bit integers: (uplo, diag, n, a,
+    lda, info), every argument by address. ctypes releases the GIL during
+    the call.
+    """
+    for lib in _openblas_libraries():
+        try:
+            trtri = lib.scipy_ztrtri_64_
+        except AttributeError:
+            continue
+        trtri.argtypes = [ctypes.c_char_p, ctypes.c_char_p] + [ctypes.c_void_p] * 4
+        trtri.restype = None
+        return trtri
+    return None
 
 
 @contextmanager
@@ -104,22 +134,63 @@ def gram_normalized(A: np.ndarray, conj: np.ndarray | None = None) -> np.ndarray
     return low
 
 
-def inverse_trace(W: np.ndarray) -> np.ndarray:
+def _triangular_inverse(tri: np.ndarray, upper: bool) -> np.ndarray:
+    """Inverse of each triangle of a (..., K, K) stack, upper or lower.
+
+    LAPACK's ztrtri (Du Croz and Higham, IMA J. Numer. Anal. 12, 1992)
+    inverts a triangle in K^3/3 multiply-adds, against about K^3 for a
+    general inverse. It runs once per matrix, in place on a C-ordered
+    copy: LAPACK reads that buffer column-major, as the transposed
+    triangle, so it gets the opposite triangle flag. Without a bundled
+    ztrtri, numpy's general inverse of the triangle runs instead. An exact
+    zero on a diagonal raises SingularMatrixError.
+    """
+    trtri = _ztrtri()
+    if trtri is None:
+        try:
+            return np.linalg.inv(tri)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"triangular factor is singular: {exc}") from exc
+    tri = np.array(tri, dtype=np.complex128, order="C")
+    K = tri.shape[-1]
+    count, stride = tri.size // (K * K), 16 * K * K
+    ints = np.zeros(count + 1, dtype=np.int64)  # n, then one info per matrix
+    ints[0] = K
+    n, base = ints.ctypes.data, tri.ctypes.data
+    uplo = b"L" if upper else b"U"
+    matrices = range(base, base + count * stride, stride)
+    for a, info in zip(matrices, range(n + 8, n + 8 * (count + 1), 8)):
+        trtri(uplo, b"N", n, a, n, info)
+    if ints[1:].any():  # info > 0: that diagonal entry is exactly zero
+        raise SingularMatrixError("triangular factor has a zero on its diagonal")
+    return tri
+
+
+def inverse_trace(W: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
     """Trace of the inverse of a Hermitian positive definite matrix.
 
     One trace per matrix of W, a matrix or a stack of shape (..., K, K).
-    Cholesky based: for W = L L^H, tr(W^{-1}) equals the squared Frobenius
-    norm of L^{-1}. Numerically singular input is rejected through the
-    bound ||W||_1 tr(W^{-1}), which lies within a factor of the dimension
-    of the 1-norm condition number and costs nothing extra; an infinite or
-    NaN bound counts as singular too, and one such matrix rejects a stack.
+    For any triangular T with T^H T = W or T T^H = W, tr(W^{-1}) is the
+    squared Frobenius norm of T^{-1}. factor, an upper-triangular stack of
+    W's shape with factor^H factor = W, serves as T where the caller holds
+    one; otherwise T is the Cholesky factor of W. T is inverted with
+    LAPACK's triangular inverse from the OpenBLAS that numpy bundles, or
+    with numpy's general inverse where none is found. Numerically singular
+    input is rejected through the bound ||W||_1 tr(W^{-1}), which lies
+    within a factor of the dimension of the 1-norm condition number and
+    costs nothing extra; an infinite or NaN bound counts as singular too,
+    and one such matrix rejects a stack.
     """
-    try:
-        L_inv = np.linalg.inv(np.linalg.cholesky(W))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"matrix is not positive definite: {exc}") from exc
+    if factor is not None:
+        tri, upper = factor, True
+    else:
+        try:
+            tri, upper = np.linalg.cholesky(W), False
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"matrix is not positive definite: {exc}") from exc
+    T_inv = _triangular_inverse(tri, upper)
     with np.errstate(over="ignore"):
-        trace = np.sum(np.abs(L_inv) ** 2, axis=(-2, -1))
+        trace = np.sum(np.abs(T_inv) ** 2, axis=(-2, -1))
         cond = np.linalg.norm(W, 1, axis=(-2, -1)) * trace
     if not np.all(cond * SINGULAR_RTOL <= 1.0):
         raise SingularMatrixError(

@@ -16,6 +16,7 @@ from mimo_converge.channel import (
     CorrelationSpec,
     RngStream,
     exp_correlation_eigenvalues,
+    gamma_shapes,
     row_scale,
     sample_gram_factor,
     sample_iid,
@@ -191,6 +192,15 @@ class TestSampleGramFactor:
         a = sample_gram_factor(30, 6, RngStream(42, 5))
         assert a.tobytes() == sample_gram_factor(30, 6, RngStream(42, 5)).tobytes()
         assert a.tobytes() != sample_gram_factor(30, 6, RngStream(42, 6)).tobytes()
+
+    @pytest.mark.parametrize("M, K", [(5, 5), (50, 5), (1000, 100), (16384, 50)])
+    def test_shapes_built_once_give_the_same_bits(self, M, K):
+        # the float64 shapes read as the integer shapes M, M - 1, ... do
+        shapes = gamma_shapes(M, K)
+        R = sample_gram_factor(M, K, RngStream(8, 3), shapes=shapes)
+        assert R.tobytes() == sample_gram_factor(M, K, RngStream(8, 3)).tobytes()
+        gammas = RngStream(8, 3).generator().standard_gamma(np.arange(M, M - K, -1))
+        assert R.diagonal().real.tobytes() == np.sqrt(gammas).tobytes()
 
     @pytest.mark.parametrize("M, K", [(3, 4), (5, 0)])
     def test_rejects_more_columns_than_rows(self, M, K):

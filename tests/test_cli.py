@@ -394,7 +394,7 @@ class TestEmit:
             assert r["degenerate_trials"] == "0"
 
 
-def _no_trials(M, K, rng, out=None):
+def _no_trials(M, K, rng, **kw):
     raise AssertionError("a trial ran before the configuration was rejected")
 
 
@@ -486,6 +486,21 @@ class TestMainExitCodes:
                      "--beta-max", beta_max, "--stats", "mf", "--trials", "5", "--output", str(out)])
         assert code == EXIT_CONFIG
         assert "limiting moments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--stats", "mf", "--beta-min", "1e200", "--beta-max", "1e200"], "overflows"),
+        (["--stats", "mf", "--rho-f", "1e308"], "limit of mf_sinr_mean is inf"),
+        (["--stats", "zf", "--rho-f", "1e308"], "limit of zf_snr is inf"),
+    ], ids=["mf-gain-squared-overflows", "mf-limit-inf", "zf-limit-inf"])
+    def test_non_finite_limit_is_config_error(self, flags, message, tmp_path, monkeypatch, capsys):
+        # every point's limits are computed before the first trial
+        _forbid_trials(monkeypatch)
+        out = tmp_path / "r.csv"
+        code = main(["--mode", "fixed-alpha", "--alpha", "10", "--K", "5", *flags,
+                     "--trials", "2", "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_limit_prints_a_nan_gap(self, tmp_path, capsys):

@@ -4,6 +4,8 @@ Ground truth: hand-derived closed forms for small matrices, and the
 eigenvalue decomposition as an independent oracle for traces.
 """
 
+import glob
+import os
 import subprocess
 import sys
 import warnings
@@ -15,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mimo_converge
+import mimo_converge.numerics as numerics
+from mimo_converge.channel import RngStream, sample_gram_factor
 from mimo_converge.metrics import lambda_ratio
 from mimo_converge.numerics import (
     _openblas_thread_controls,
@@ -23,6 +27,8 @@ from mimo_converge.numerics import (
     inverse_trace,
     single_threaded_blas,
 )
+from mimo_converge.power import PowerProfile, link_gains
+from mimo_converge.precoding import zf_snr_from_gram
 
 
 def _random_complex(m, k, seed):
@@ -160,6 +166,80 @@ class TestInverseTrace:
                 inverse_trace(np.diag([1.0, 1e-320]))
 
 
+# (M, K) and the stack size that the harness gives each shape
+_FACTOR_SHAPES = [(50, 5, 30), (200, 20, 30), (500, 50, 6), (1000, 100, 1)]
+
+
+def _factor_stack(M, K, count, seed):
+    """Bartlett factors scaled by gains 0.1..1, as a Bartlett ZF point stacks
+    them, and their Grams."""
+    sqrt_beta = np.sqrt(link_gains(K, PowerProfile(0.1, 1.0)))
+    G = np.stack([sample_gram_factor(M, K, RngStream(seed, t)) * sqrt_beta for t in range(count)])
+    return G, np.stack([gram_normalized(g) for g in G])
+
+
+class TestTriangularInverseTrace:
+    @pytest.mark.parametrize("M, K, count", _FACTOR_SHAPES)
+    @pytest.mark.parametrize("with_factor", [False, True], ids=["cholesky", "factor"])
+    def test_lapack_matches_general_inverse(self, M, K, count, with_factor, monkeypatch):
+        G, W = _factor_stack(M, K, count, seed=K)
+        factor = G if with_factor else None
+        lapack = inverse_trace(W, factor)
+        monkeypatch.setattr(numerics, "_ztrtri", lambda: None)  # as where no bundled OpenBLAS exports it
+        np.testing.assert_allclose(lapack, inverse_trace(W, factor), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("M, K, count", _FACTOR_SHAPES)
+    def test_zf_from_factor_matches_cholesky_and_lu(self, M, K, count):
+        # the oracle is the general LU inverse of the Cholesky factor
+        G, W = _factor_stack(M, K, count, seed=K + 1)
+        L_inv = np.linalg.inv(np.linalg.cholesky(W))
+        oracle = 2.0 / np.sum(np.abs(L_inv) ** 2, axis=(-2, -1))
+        np.testing.assert_allclose(zf_snr_from_gram(W, 2.0, G), oracle, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("path", ["lapack", "general"])
+    def test_single_user(self, path, monkeypatch):
+        if path == "general":
+            monkeypatch.setattr(numerics, "_ztrtri", lambda: None)
+        G = np.array([[[2.0 + 0j]], [[0.5 + 0j]]])
+        W = G.conj() * G
+        assert inverse_trace(W, G).tolist() == [0.25, 4.0]
+        assert inverse_trace(W).tolist() == [0.25, 4.0]
+
+    @pytest.mark.parametrize("path", ["lapack", "general"])
+    @pytest.mark.parametrize("diagonal", [0.0, np.nan, np.inf])
+    def test_bad_diagonal_raises(self, diagonal, path, monkeypatch):
+        if path == "general":
+            monkeypatch.setattr(numerics, "_ztrtri", lambda: None)
+        G, _ = _factor_stack(20, 4, 3, seed=9)
+        G[1, 2, 2] = diagonal  # one matrix rejects its stack
+        W = np.einsum("...ji,...jk->...ik", G.conj(), G)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the Gram of an inf entry holds inf - inf
+            with pytest.raises(SingularMatrixError):
+                inverse_trace(W, G)
+
+    @pytest.mark.parametrize("M, K, count", _FACTOR_SHAPES[:3])
+    def test_stack_slice_bitwise_equals_single_matrix(self, M, K, count):
+        G, W = _factor_stack(M, K, count, seed=K + 2)
+        stacked = inverse_trace(W, G)
+        for i in range(count):
+            assert stacked[i].tobytes() == inverse_trace(W[i], G[i]).tobytes()
+
+    def test_factor_is_left_as_it_is(self):
+        G, W = _factor_stack(50, 5, 3, seed=4)
+        before = G.tobytes()
+        inverse_trace(W, G)
+        assert G.tobytes() == before
+
+    def test_bundled_openblas_provides_ztrtri(self):
+        # guards the fast path: a numpy whose OpenBLAS stops exporting the
+        # symbol would otherwise put ZF back on the general inverse unnoticed
+        libs_dir = os.path.dirname(np.__file__) + ".libs"
+        if not glob.glob(os.path.join(libs_dir, "*scipy_openblas64_*")):
+            pytest.skip("numpy bundles no scipy_openblas64_ library")
+        assert numerics._ztrtri() is not None
+
+
 class TestSingleThreadedBlas:
     @pytest.fixture
     def controls(self):
@@ -201,7 +281,8 @@ class TestSingleThreadedBlas:
         src = str(Path(mimo_converge.__file__).resolve().parents[1])
         probe = (
             f"import sys; sys.path.insert(0, {src!r}); import mimo_converge; "
-            "from mimo_converge.numerics import _openblas_thread_controls as c; "
-            "assert c.cache_info().currsize == 0"
+            "from mimo_converge.numerics import _openblas_thread_controls as c, _ztrtri; "
+            "assert c.cache_info().currsize == 0; "
+            "assert _ztrtri.cache_info().currsize == 0"
         )
         subprocess.run([sys.executable, "-c", probe], check=True, timeout=60)
