@@ -177,13 +177,16 @@ def _upper_flat_indices(K: int) -> np.ndarray:
     return flat
 
 
-def gamma_shapes(M: int, K: int) -> np.ndarray:
-    """The shapes M, M - 1, ..., M - K + 1 of the Bartlett factor's squared
+@functools.cache
+def _gamma_shapes(M: int, K: int) -> np.ndarray:
+    """Shapes M, M - 1, ..., M - K + 1 of the Bartlett factor's squared
     diagonal, as the float64 array that Generator.standard_gamma reads."""
-    return np.arange(M, M - K, -1, dtype=np.float64)
+    shapes = np.arange(M, M - K, -1, dtype=np.float64)
+    shapes.flags.writeable = False  # shared by every call with this (M, K)
+    return shapes
 
 
-def sample_gram_factor(M: int, K: int, rng: RngStream, shapes: np.ndarray | None = None) -> np.ndarray:
+def sample_gram_factor(M: int, K: int, rng: RngStream) -> np.ndarray:
     """K x K upper-triangular Bartlett factor R of an M x K iid CN(0, 1) draw.
 
     For M >= K the entries are independent: |R_ii|^2 ~ Gamma(M - i, 1) for
@@ -191,16 +194,14 @@ def sample_gram_factor(M: int, K: int, rng: RngStream, shapes: np.ndarray | None
     CN(0, 1). R^H R then has the law of H^H H for H = sample_iid(M, K, .),
     the complex Wishart CW_K(M, I), and so has (R D)^H (R D) that of
     (H D)^H (H D) for any diagonal D. The gammas are drawn before the
-    normals. shapes, gamma_shapes(M, K) built once for many draws, spares
-    building and casting it per draw. Bit-identical for identical
-    (seed, stream).
+    normals. Bit-identical for identical (seed, stream).
     """
     if not 1 <= K <= M:
         raise ValueError(f"the Bartlett factor needs 1 <= K <= M, got M={M}, K={K}")
     g = rng.generator()
     R = np.zeros((K, K), dtype=np.complex128)
     flat = R.reshape(-1)
-    flat.real[:: K + 1] = np.sqrt(g.standard_gamma(gamma_shapes(M, K) if shapes is None else shapes))
+    flat.real[:: K + 1] = np.sqrt(g.standard_gamma(_gamma_shapes(M, K)))
     upper = _upper_flat_indices(K)
     parts = g.standard_normal((2, upper.size))
     parts *= 1.0 / np.sqrt(2.0)

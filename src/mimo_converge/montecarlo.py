@@ -25,7 +25,6 @@ from .channel import (
     CorrelationSpec,
     RngStream,
     exp_correlation_eigenvalues,
-    gamma_shapes,
     row_scale,
     sample_gram_factor,
     sample_normals,
@@ -239,11 +238,9 @@ class _Share:
         else:
             self.scale = row_scale(exp_correlation_eigenvalues(M, r) if r > 0.0 else None)
         # One Gram per distinct matrix: G's, and H's only when the metrics read
-        # H and the gains make G differ from it. A Bartlett G is upper-triangular
-        # with G^H G its Gram, so ZF inverts G itself and needs no Cholesky.
+        # H and the gains make G differ from it.
         self.metrics_on_h = s.compute_metrics and s.gram_source == "H" and self.sqrt_beta is not None
         self.gram_of_g = s.compute_zf or s.compute_mf or not self.metrics_on_h
-        self.factor_of_g = bartlett and s.compute_zf
         # Allocated before any worker starts; each worker writes its own rows.
         T = s.trials
         self.cols: dict[str, np.ndarray] = {}
@@ -256,13 +253,12 @@ class _Share:
             self.cols["mf_sinr"] = np.empty((T, K))
         self.degenerate = np.zeros(T, dtype=bool)
 
-    def stacks(self, n: int) -> tuple[np.ndarray | None, ...]:
-        """Empty stacks of n Grams of G, of n Grams of H and of n factors G,
-        None where none is kept."""
+    def stacks(self, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Empty stacks of n Grams of G and of H, None where none is formed."""
         shape = (n, self.K, self.K)
-        return tuple(
-            np.empty(shape, dtype=np.complex128) if kept else None
-            for kept in (self.gram_of_g, self.metrics_on_h, self.factor_of_g)
+        return (
+            np.empty(shape, dtype=np.complex128) if self.gram_of_g else None,
+            np.empty(shape, dtype=np.complex128) if self.metrics_on_h else None,
         )
 
     def add_trial(self, stacks, i: int, draw: np.ndarray, H: np.ndarray, C: np.ndarray) -> None:
@@ -272,25 +268,22 @@ class _Share:
         are; H and C are worker buffers of the drawn matrix's shape, for
         this scenario's channel and the conjugate inside each Gram.
         """
-        gram_g, gram_h, factor_g = stacks
+        gram_g, gram_h = stacks
         if self.scale is not None:
             draw = scale_normals(draw, self.scale, H)
         if gram_h is not None:
             gram_h[i] = gram_normalized(draw, C)
         G = draw if self.sqrt_beta is None else np.multiply(draw, self.sqrt_beta, out=H)
-        if factor_g is not None:
-            factor_g[i] = G
         if gram_g is not None:
             gram_g[i] = gram_normalized(G, C)
 
-    def write(self, rows: slice, gram_g: np.ndarray | None, gram_h: np.ndarray | None,
-              factor_g: np.ndarray | None) -> None:
+    def write(self, rows: slice, gram_g: np.ndarray | None, gram_h: np.ndarray | None) -> None:
         """Write each statistic of the stacked Grams of rows to cols[rows]. A
         slice of a stack gets the same bits as a stack of one; one degenerate
         trial raises SingularMatrixError for the whole stack."""
         s, cols = self.scenario, self.cols
         if s.compute_zf:
-            cols["zf_snr"][rows] = zf_snr_from_gram(gram_g, s.rho_f, factor_g)
+            cols["zf_snr"][rows] = zf_snr_from_gram(gram_g, s.rho_f)
         if s.compute_mf:
             cols["mf_sinr"][rows] = mf_sinr_from_gram(gram_g, s.rho_f)
         if s.compute_metrics:
@@ -342,7 +335,6 @@ def _run_group(
     chunk = max(1, min(_STACK_BYTES // (16 * K * K), -(-T // len(states))))
     starts = range(0, T, chunk)
     workers = min(len(states), len(starts))
-    shapes = gamma_shapes(M, K) if bartlett else None  # read-only, shared by the workers
 
     def run_worker(w: int) -> None:
         rng = states[w]
@@ -363,7 +355,7 @@ def _run_group(
             for i, t in enumerate(range(rows.start, rows.stop)):
                 keyed = rng.keyed(seed, t + stream_offset)
                 if bartlett:
-                    draw = sample_gram_factor(M, K, keyed, shapes=shapes)
+                    draw = sample_gram_factor(M, K, keyed)
                 else:
                     draw = sample_normals(M, K, keyed, out=normals)
                 for share, stack in zip(group, stacks):

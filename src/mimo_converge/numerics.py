@@ -134,63 +134,56 @@ def gram_normalized(A: np.ndarray, conj: np.ndarray | None = None) -> np.ndarray
     return low
 
 
-def _triangular_inverse(tri: np.ndarray, upper: bool) -> np.ndarray:
-    """Inverse of each triangle of a (..., K, K) stack, upper or lower.
+def _lower_triangular_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of each lower triangle of L, a C-ordered complex128 (..., K, K) stack.
 
     LAPACK's ztrtri (Du Croz and Higham, IMA J. Numer. Anal. 12, 1992)
     inverts a triangle in K^3/3 multiply-adds, against about K^3 for a
-    general inverse. It runs once per matrix, in place on a C-ordered
-    copy: LAPACK reads that buffer column-major, as the transposed
-    triangle, so it gets the opposite triangle flag. Without a bundled
-    ztrtri, numpy's general inverse of the triangle runs instead. An exact
-    zero on a diagonal raises SingularMatrixError.
+    general inverse. It runs once per matrix, in place on L: LAPACK reads
+    that buffer column-major, as the transposed triangle, so it is told
+    the triangle is upper. Without a bundled ztrtri, numpy's general
+    inverse of the triangle runs instead. An exact zero on a diagonal
+    raises SingularMatrixError.
     """
     trtri = _ztrtri()
     if trtri is None:
         try:
-            return np.linalg.inv(tri)
+            return np.linalg.inv(L)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(f"triangular factor is singular: {exc}") from exc
-    tri = np.array(tri, dtype=np.complex128, order="C")
-    K = tri.shape[-1]
-    count, stride = tri.size // (K * K), 16 * K * K
+    K = L.shape[-1]
+    count, stride = L.size // (K * K), 16 * K * K
     ints = np.zeros(count + 1, dtype=np.int64)  # n, then one info per matrix
     ints[0] = K
-    n, base = ints.ctypes.data, tri.ctypes.data
-    uplo = b"L" if upper else b"U"
+    n, base = ints.ctypes.data, L.ctypes.data
     matrices = range(base, base + count * stride, stride)
     for a, info in zip(matrices, range(n + 8, n + 8 * (count + 1), 8)):
-        trtri(uplo, b"N", n, a, n, info)
+        trtri(b"U", b"N", n, a, n, info)
     if ints[1:].any():  # info > 0: that diagonal entry is exactly zero
         raise SingularMatrixError("triangular factor has a zero on its diagonal")
-    return tri
+    return L
 
 
-def inverse_trace(W: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
+def inverse_trace(W: np.ndarray) -> np.ndarray:
     """Trace of the inverse of a Hermitian positive definite matrix.
 
     One trace per matrix of W, a matrix or a stack of shape (..., K, K).
-    For any triangular T with T^H T = W or T T^H = W, tr(W^{-1}) is the
-    squared Frobenius norm of T^{-1}. factor, an upper-triangular stack of
-    W's shape with factor^H factor = W, serves as T where the caller holds
-    one; otherwise T is the Cholesky factor of W. T is inverted with
-    LAPACK's triangular inverse from the OpenBLAS that numpy bundles, or
-    with numpy's general inverse where none is found. Numerically singular
-    input is rejected through the bound ||W||_1 tr(W^{-1}), which lies
-    within a factor of the dimension of the 1-norm condition number and
-    costs nothing extra; an infinite or NaN bound counts as singular too,
-    and one such matrix rejects a stack.
+    Cholesky based: for W = L L^H, tr(W^{-1}) equals the squared Frobenius
+    norm of L^{-1}, and L is inverted with LAPACK's triangular inverse
+    from the OpenBLAS that numpy bundles, or with numpy's general inverse
+    where none is found. Numerically singular input is rejected through
+    the bound ||W||_1 tr(W^{-1}), which lies within a factor of the
+    dimension of the 1-norm condition number and costs nothing extra; an
+    infinite or NaN bound counts as singular too, and one such matrix
+    rejects a stack.
     """
-    if factor is not None:
-        tri, upper = factor, True
-    else:
-        try:
-            tri, upper = np.linalg.cholesky(W), False
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"matrix is not positive definite: {exc}") from exc
-    T_inv = _triangular_inverse(tri, upper)
+    try:
+        L = np.ascontiguousarray(np.linalg.cholesky(W), dtype=np.complex128)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"matrix is not positive definite: {exc}") from exc
+    L_inv = _lower_triangular_inverse(L)
     with np.errstate(over="ignore"):
-        trace = np.sum(np.abs(T_inv) ** 2, axis=(-2, -1))
+        trace = np.sum(np.abs(L_inv) ** 2, axis=(-2, -1))
         cond = np.linalg.norm(W, 1, axis=(-2, -1)) * trace
     if not np.all(cond * SINGULAR_RTOL <= 1.0):
         raise SingularMatrixError(

@@ -15,14 +15,13 @@ import numpy as np
 from .numerics import inverse_trace
 
 
-def zf_snr_from_gram(gram: np.ndarray, rho_f: float, factor: np.ndarray | None = None) -> np.ndarray:
+def zf_snr_from_gram(gram: np.ndarray, rho_f: float) -> np.ndarray:
     """ZF per-user SNR rho_f / tr(gram^{-1}) given the K x K column Gram of G.
 
-    factor, an upper-triangular T with T^H T = gram such as G itself when
-    G is square and upper-triangular, spares the Cholesky factorization of
-    the Gram: tr(gram^{-1}) is then the squared Frobenius norm of T^{-1}.
+    The trace comes from the Cholesky factor of the Gram through LAPACK's
+    triangular inverse (numerics.inverse_trace).
     """
-    return rho_f / inverse_trace(gram, factor)
+    return rho_f / inverse_trace(gram)
 
 
 def zf_snr_limit(rho_f: float, alpha: float, mean_inv_beta: float) -> float:

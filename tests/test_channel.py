@@ -12,11 +12,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mimo_converge import channel
 from mimo_converge.channel import (
     CorrelationSpec,
     RngStream,
     exp_correlation_eigenvalues,
-    gamma_shapes,
     row_scale,
     sample_gram_factor,
     sample_iid,
@@ -194,10 +194,11 @@ class TestSampleGramFactor:
         assert a.tobytes() != sample_gram_factor(30, 6, RngStream(42, 6)).tobytes()
 
     @pytest.mark.parametrize("M, K", [(5, 5), (50, 5), (1000, 100), (16384, 50)])
-    def test_shapes_built_once_give_the_same_bits(self, M, K):
-        # the float64 shapes read as the integer shapes M, M - 1, ... do
-        shapes = gamma_shapes(M, K)
-        R = sample_gram_factor(M, K, RngStream(8, 3), shapes=shapes)
+    def test_cached_float_shapes_give_the_bits_of_integer_shapes(self, M, K):
+        # the float64 shapes, built on the first draw at (M, K) and reused
+        # by the next, read as the integer shapes M, M - 1, ... do
+        channel._gamma_shapes.cache_clear()
+        R = sample_gram_factor(M, K, RngStream(8, 3))
         assert R.tobytes() == sample_gram_factor(M, K, RngStream(8, 3)).tobytes()
         gammas = RngStream(8, 3).generator().standard_gamma(np.arange(M, M - K, -1))
         assert R.diagonal().real.tobytes() == np.sqrt(gammas).tobytes()

@@ -394,7 +394,7 @@ class TestEmit:
             assert r["degenerate_trials"] == "0"
 
 
-def _no_trials(M, K, rng, **kw):
+def _no_trials(M, K, rng, out=None):
     raise AssertionError("a trial ran before the configuration was rejected")
 
 

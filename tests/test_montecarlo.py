@@ -394,26 +394,6 @@ class TestStackedKernel:
         assert clean.degenerate_trials == 0
         assert retried.stats == clean.stats
 
-    @pytest.mark.parametrize("correlation, factorizations", [
-        (None, 0), (CorrelationSpec(0.5), 3 * 4),
-    ], ids=["bartlett", "correlated"])
-    def test_bartlett_zf_inverts_the_factor_without_a_cholesky(self, correlation, factorizations, monkeypatch):
-        # a Bartlett G is upper-triangular with G^H G its Gram; the M x K
-        # draw has no triangle, so each of its ZF Grams is factorized once
-        calls = 0
-        cholesky = np.linalg.cholesky
-
-        def spy(W):
-            nonlocal calls
-            calls += W.shape[0] if W.ndim == 3 else 1
-            return cholesky(W)
-
-        monkeypatch.setattr(np.linalg, "cholesky", spy)
-        result = run_scenario(_scenario(sweep=(5, 10, 20), trials=4, correlation=correlation,
-                                        profile=PowerProfile(0.1, 1.0)))
-        assert calls == factorizations
-        assert all(p.stats["zf_snr"].trials == 4 for p in result.points)
-
     def test_one_draw_alive_at_a_time(self):
         # one 16384 x 50 draw is M*K*16 bytes; a lone correlated scenario holds
         # two per worker, the channel H and the conjugate inside a Gram, whose

@@ -167,11 +167,11 @@ class TestInverseTrace:
 
 
 # (M, K) and the stack size that the harness gives each shape
-_FACTOR_SHAPES = [(50, 5, 30), (200, 20, 30), (500, 50, 6), (1000, 100, 1)]
+_STACK_SHAPES = [(50, 5, 30), (200, 20, 30), (500, 50, 6), (1000, 100, 1)]
 
 
-def _factor_stack(M, K, count, seed):
-    """Bartlett factors scaled by gains 0.1..1, as a Bartlett ZF point stacks
+def _gram_stack(M, K, count, seed):
+    """Bartlett factors scaled by gains 0.1..1, as a Bartlett ZF point draws
     them, and their Grams."""
     sqrt_beta = np.sqrt(link_gains(K, PowerProfile(0.1, 1.0)))
     G = np.stack([sample_gram_factor(M, K, RngStream(seed, t)) * sqrt_beta for t in range(count)])
@@ -179,30 +179,26 @@ def _factor_stack(M, K, count, seed):
 
 
 class TestTriangularInverseTrace:
-    @pytest.mark.parametrize("M, K, count", _FACTOR_SHAPES)
-    @pytest.mark.parametrize("with_factor", [False, True], ids=["cholesky", "factor"])
-    def test_lapack_matches_general_inverse(self, M, K, count, with_factor, monkeypatch):
-        G, W = _factor_stack(M, K, count, seed=K)
-        factor = G if with_factor else None
-        lapack = inverse_trace(W, factor)
+    @pytest.mark.parametrize("M, K, count", _STACK_SHAPES)
+    def test_lapack_matches_general_inverse(self, M, K, count, monkeypatch):
+        _, W = _gram_stack(M, K, count, seed=K)
+        lapack = inverse_trace(W)
         monkeypatch.setattr(numerics, "_ztrtri", lambda: None)  # as where no bundled OpenBLAS exports it
-        np.testing.assert_allclose(lapack, inverse_trace(W, factor), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(lapack, inverse_trace(W), rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("M, K, count", _FACTOR_SHAPES)
-    def test_zf_from_factor_matches_cholesky_and_lu(self, M, K, count):
+    @pytest.mark.parametrize("M, K, count", _STACK_SHAPES)
+    def test_zf_matches_cholesky_and_lu(self, M, K, count):
         # the oracle is the general LU inverse of the Cholesky factor
-        G, W = _factor_stack(M, K, count, seed=K + 1)
+        _, W = _gram_stack(M, K, count, seed=K + 1)
         L_inv = np.linalg.inv(np.linalg.cholesky(W))
         oracle = 2.0 / np.sum(np.abs(L_inv) ** 2, axis=(-2, -1))
-        np.testing.assert_allclose(zf_snr_from_gram(W, 2.0, G), oracle, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(zf_snr_from_gram(W, 2.0), oracle, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("path", ["lapack", "general"])
     def test_single_user(self, path, monkeypatch):
         if path == "general":
             monkeypatch.setattr(numerics, "_ztrtri", lambda: None)
-        G = np.array([[[2.0 + 0j]], [[0.5 + 0j]]])
-        W = G.conj() * G
-        assert inverse_trace(W, G).tolist() == [0.25, 4.0]
+        W = np.array([[[4.0 + 0j]], [[0.25 + 0j]]])
         assert inverse_trace(W).tolist() == [0.25, 4.0]
 
     @pytest.mark.parametrize("path", ["lapack", "general"])
@@ -210,26 +206,37 @@ class TestTriangularInverseTrace:
     def test_bad_diagonal_raises(self, diagonal, path, monkeypatch):
         if path == "general":
             monkeypatch.setattr(numerics, "_ztrtri", lambda: None)
-        G, _ = _factor_stack(20, 4, 3, seed=9)
+        G, _ = _gram_stack(20, 4, 3, seed=9)
         G[1, 2, 2] = diagonal  # one matrix rejects its stack
         W = np.einsum("...ji,...jk->...ik", G.conj(), G)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the Gram of an inf entry holds inf - inf
             with pytest.raises(SingularMatrixError):
-                inverse_trace(W, G)
+                inverse_trace(W)
 
-    @pytest.mark.parametrize("M, K, count", _FACTOR_SHAPES[:3])
+    @pytest.mark.parametrize("path", ["lapack", "general"])
+    def test_zero_on_triangle_diagonal_raises(self, path, monkeypatch):
+        # a Cholesky factor has none; LAPACK reports it through info > 0
+        if path == "general":
+            monkeypatch.setattr(numerics, "_ztrtri", lambda: None)
+        L = np.tril(np.ones((3, 4, 4), dtype=np.complex128))
+        L[2, 1, 1] = 0.0
+        with pytest.raises(SingularMatrixError):
+            numerics._lower_triangular_inverse(L)
+
+    @pytest.mark.parametrize("M, K, count", _STACK_SHAPES[:3])
     def test_stack_slice_bitwise_equals_single_matrix(self, M, K, count):
-        G, W = _factor_stack(M, K, count, seed=K + 2)
-        stacked = inverse_trace(W, G)
+        _, W = _gram_stack(M, K, count, seed=K + 2)
+        stacked = inverse_trace(W)
         for i in range(count):
-            assert stacked[i].tobytes() == inverse_trace(W[i], G[i]).tobytes()
+            assert stacked[i].tobytes() == inverse_trace(W[i]).tobytes()
 
-    def test_factor_is_left_as_it_is(self):
-        G, W = _factor_stack(50, 5, 3, seed=4)
-        before = G.tobytes()
-        inverse_trace(W, G)
-        assert G.tobytes() == before
+    def test_gram_is_left_as_it_is(self):
+        # the triangle is inverted in place, in the Cholesky factor's buffer
+        _, W = _gram_stack(50, 5, 3, seed=4)
+        before = W.tobytes()
+        inverse_trace(W)
+        assert W.tobytes() == before
 
     def test_bundled_openblas_provides_ztrtri(self):
         # guards the fast path: a numpy whose OpenBLAS stops exporting the
