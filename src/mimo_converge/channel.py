@@ -14,7 +14,8 @@ pair; the sweep harness gives each worker one and moves it from trial to
 trial. An M x K draw is made in two steps, so that scenarios which differ
 only in their row powers can share one: sample_normals draws the
 2 x M x K standard normals of a stream, and scale_normals turns them into
-the complex matrix with a given row scale. sample_iid does both.
+the complex matrix with a given row scale. sample_gram_factor draws the
+K x K Bartlett factor, alone or into one slot of a stack of factors.
 """
 
 from __future__ import annotations
@@ -124,17 +125,6 @@ def scale_normals(parts: np.ndarray, scale: np.ndarray | float, out: np.ndarray)
     return out
 
 
-def sample_iid(M: int, K: int, rng: RngStream, row_power: np.ndarray | None = None) -> np.ndarray:
-    """M x K matrix of independent circularly-symmetric complex normals.
-
-    Entry (m, k) is CN(0, row_power[m]), or CN(0, 1) without row_power, so
-    real and imaginary parts are each N(0, row_power[m] / 2). Bit-identical
-    for identical (seed, stream).
-    """
-    parts = sample_normals(M, K, rng)
-    return scale_normals(parts, row_scale(row_power), np.empty((M, K), dtype=np.complex128))
-
-
 def exp_correlation_eigenvalues(M: int, r: float) -> np.ndarray:
     """The M eigenvalues of the correlation matrix R_ij = r**|i - j|, 0 < r < 1.
 
@@ -186,20 +176,25 @@ def _gamma_shapes(M: int, K: int) -> np.ndarray:
     return shapes
 
 
-def sample_gram_factor(M: int, K: int, rng: RngStream) -> np.ndarray:
+def sample_gram_factor(M: int, K: int, rng: RngStream, out: np.ndarray | None = None) -> np.ndarray:
     """K x K upper-triangular Bartlett factor R of an M x K iid CN(0, 1) draw.
 
     For M >= K the entries are independent: |R_ii|^2 ~ Gamma(M - i, 1) for
     i = 0..K-1, on a real positive diagonal, and every entry above it is
-    CN(0, 1). R^H R then has the law of H^H H for H = sample_iid(M, K, .),
-    the complex Wishart CW_K(M, I), and so has (R D)^H (R D) that of
-    (H D)^H (H D) for any diagonal D. The gammas are drawn before the
-    normals. Bit-identical for identical (seed, stream).
+    CN(0, 1). R^H R then has the law of H^H H for an M x K draw H of iid
+    CN(0, 1) entries, the complex Wishart CW_K(M, I), and so has
+    (R D)^H (R D) that of (H D)^H (H D) for any diagonal D. The gammas are
+    drawn before the normals. Bit-identical for identical (seed, stream).
+
+    out, a C-contiguous K x K complex128 array whose strict lower triangle
+    and diagonal imaginary parts are zero, such as a slot of a stack made
+    by np.zeros, receives R in place of a new array; those zeros are left
+    as they are and every other entry is written.
     """
     if not 1 <= K <= M:
         raise ValueError(f"the Bartlett factor needs 1 <= K <= M, got M={M}, K={K}")
     g = rng.generator()
-    R = np.zeros((K, K), dtype=np.complex128)
+    R = np.zeros((K, K), dtype=np.complex128) if out is None else out
     flat = R.reshape(-1)
     flat.real[:: K + 1] = np.sqrt(g.standard_gamma(_gamma_shapes(M, K)))
     upper = _upper_flat_indices(K)

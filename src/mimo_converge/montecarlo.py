@@ -31,7 +31,7 @@ from .channel import (
     scale_normals,
 )
 from .metrics import diagonal_dominance, lambda_ratio, mad
-from .numerics import SingularMatrixError, gram_normalized, single_threaded_blas
+from .numerics import SINGULAR_RTOL, SingularMatrixError, gram_normalized, single_threaded_blas
 from .power import PowerProfile, limiting_moments, link_gains
 from .precoding import mf_sinr_from_gram, mf_sinr_limit, zf_snr_from_gram, zf_snr_limit
 
@@ -44,6 +44,25 @@ DEFAULT_TRIALS = 1000
 # Byte cap of one stack of K x K complex Grams: the stacked statistics pay
 # their call overhead once per stack, and a stack stays small next to a draw.
 _STACK_BYTES = 2**18
+
+# numpy's eigvalsh holds the GIL unless one call returns more than 500
+# eigenvalues: a Python loop beside it kept 7-43% of its pace at 448 to 500
+# eigenvalues per call, and about all of it from 501 on. A pooled metrics
+# stack therefore holds more than 500 // K Grams.
+_EIGVALSH_NOGIL = 500
+
+# Per-trial work, in complex multiply-adds of a trial's Gram, below which a
+# point runs on one worker: K^3 for the K x K Bartlett factor, M K^2 for
+# the M x K normals. Smaller trials spend most of their time in numpy's
+# Python overhead, under the GIL, and two workers only pass it back and
+# forth. Measured on 2 CPUs: Bartlett points with the metrics (fig1 to
+# fig3) gained from a second worker from K = 50 on and tied at K = 32;
+# Bartlett precoder points (fig4, fig5) gained at K = 100 only, and lost
+# up to K = 40; the normals of fig7 (M = 10 K) gained from K = 50 on and
+# tied at K = 30.
+_POOL_WORK_METRICS_FACTOR = 50**3
+_POOL_WORK_FACTOR = 100**3
+_POOL_WORK_NORMALS = 500 * 50**2
 
 
 class ConfigError(ValueError):
@@ -222,7 +241,8 @@ class _Share:
     """One scenario's part of a group point: how it turns the shared draw into
     its Grams, its per-trial columns and its degenerate trials."""
 
-    def __init__(self, scenario: Scenario, M: int, K: int, bartlett: bool, limits: dict[str, float]):
+    def __init__(self, scenario: Scenario, M: int, K: int, bartlett: bool,
+                 row_power: np.ndarray | None, limits: dict[str, float]):
         s = self.scenario = scenario
         self.M, self.K = M, K
         self.limits = limits
@@ -231,12 +251,9 @@ class _Share:
         # draw is taken in R's eigenbasis, whose Gram has the law of that of
         # R^(1/2) times an iid draw; without correlation the Bartlett factor's
         # Gram has the law of the M x K draw's. The factor is used as drawn,
-        # and the M x K normals get this scenario's row scale.
-        r = 0.0 if s.correlation is None else s.correlation.r
-        if bartlett:
-            self.scale = None
-        else:
-            self.scale = row_scale(exp_correlation_eigenvalues(M, r) if r > 0.0 else None)
+        # and the M x K normals get this scenario's row scale: R's eigenvalues
+        # as row powers, or none.
+        self.scale = None if bartlett else row_scale(row_power)
         # One Gram per distinct matrix: G's, and H's only when the metrics read
         # H and the gains make G differ from it.
         self.metrics_on_h = s.compute_metrics and s.gram_source == "H" and self.sqrt_beta is not None
@@ -261,21 +278,23 @@ class _Share:
             np.empty(shape, dtype=np.complex128) if self.metrics_on_h else None,
         )
 
-    def add_trial(self, stacks, i: int, draw: np.ndarray, H: np.ndarray, C: np.ndarray) -> None:
-        """Write the Grams of one trial to slot i of the stacks.
+    def grams(self, draw: np.ndarray, H: np.ndarray | None, C: np.ndarray) -> tuple:
+        """The Grams of G and of H, None where none is formed, of one draw.
 
-        draw is the shared Bartlett factor or normals, which stay as they
-        are; H and C are worker buffers of the drawn matrix's shape, for
-        this scenario's channel and the conjugate inside each Gram.
+        draw is the shared normals of one trial, or a stack of Bartlett
+        factors, one per trial; only an H that is draw itself changes it.
+        H and C are buffers of draw's shape for this scenario's channel and
+        for the conjugate inside each Gram. A stack of factors gets no C, so
+        each Gram call frees its conjugates before it rebuilds the Gram, and
+        H may be the stack itself, scaled in place after the Gram of H has
+        read it.
         """
-        gram_g, gram_h = stacks
         if self.scale is not None:
             draw = scale_normals(draw, self.scale, H)
-        if gram_h is not None:
-            gram_h[i] = gram_normalized(draw, C)
+        gram_h = gram_normalized(draw, C) if self.metrics_on_h else None
         G = draw if self.sqrt_beta is None else np.multiply(draw, self.sqrt_beta, out=H)
-        if gram_g is not None:
-            gram_g[i] = gram_normalized(G, C)
+        gram_g = gram_normalized(G, C) if self.gram_of_g else None
+        return gram_g, gram_h
 
     def write(self, rows: slice, gram_g: np.ndarray | None, gram_h: np.ndarray | None) -> None:
         """Write each statistic of the stacked Grams of rows to cols[rows]. A
@@ -318,48 +337,88 @@ def _draws_bartlett(scenario: Scenario, M: int, K: int) -> bool:
     return r == 0.0 and M >= K
 
 
+def _chunk(K: int, T: int, workers: int, metrics: bool) -> int:
+    """Trials per stack of a point of T trials that runs on `workers` workers.
+
+    Within the byte cap, and every worker gets a stack. On more than one
+    worker a stack with the metrics holds enough Grams for its eigvalsh
+    call to release the GIL, past the byte cap if need be.
+    """
+    chunk = max(1, min(_STACK_BYTES // (16 * K * K), -(-T // workers)))
+    if workers > 1 and metrics:
+        chunk = max(chunk, _EIGVALSH_NOGIL // K + 1)
+    return chunk
+
+
+def _point_workers(M: int, K: int, T: int, workers: int, bartlett: bool, metrics: bool) -> int:
+    """How many of the workers run a point: all that get a stack when its
+    trials are large enough for them to overlap, else one.
+
+    A function of the point's shape alone, never of a timing, so the load
+    of the machine cannot change the schedule; the bytes do not depend on
+    it either, since trial t always writes slot t.
+    """
+    if bartlett:
+        work, least = K**3, _POOL_WORK_METRICS_FACTOR if metrics else _POOL_WORK_FACTOR
+    else:
+        work, least = M * K * K, _POOL_WORK_NORMALS
+    if workers < 2 or work < least:
+        return 1
+    stacks = -(-T // _chunk(K, T, workers, metrics))
+    return min(workers, stacks)
+
+
 def _run_group(
     shares: list[_Share], seed: int, T: int, bartlett: bool,
     states: list[RngStream], pool: ThreadPoolExecutor,
 ) -> None:
     """Run the T trials of one group point, each drawn once for all shares.
 
-    Trial t is drawn on stream t. Of n workers, worker w takes every n-th
-    stack of trials from the w-th on, and fills buffers of its own that live
-    for the point: the shared normals, each share's channel H, and the
-    conjugate C inside a Gram. A lone share draws its normals into C's
-    memory, since it has scaled them into H before C is written.
+    Trial t is drawn on stream t. _point_workers picks n workers, and worker
+    w takes every n-th stack of trials from the w-th on. A stack of
+    Bartlett factors is drawn into one array, and each share forms all
+    Grams of the stack in one call; the last share scales the factors by
+    its gains in place, and any other share that scales them does so into
+    a spare array. Both are freed before the statistics run. An M x K draw
+    fills buffers of the worker's own that live for the point, one trial at
+    a time: the shared normals, each share's channel H, and the conjugate C
+    inside a Gram. A lone share draws its normals into C's memory, since it
+    has scaled them into H before C is written.
     """
     M, K = shares[0].M, shares[0].K
-    # Trials per stack: within the byte cap, and every worker gets a stack.
-    chunk = max(1, min(_STACK_BYTES // (16 * K * K), -(-T // len(states))))
+    metrics = any(share.scenario.compute_metrics for share in shares)
+    workers = _point_workers(M, K, T, len(states), bartlett, metrics)
+    chunk = _chunk(K, T, workers, metrics)
     starts = range(0, T, chunk)
-    workers = min(len(states), len(starts))
 
     def run_worker(w: int) -> None:
         rng = states[w]
-        shape = (K, K) if bartlett else (M, K)
-        H = np.empty(shape, dtype=np.complex128)
-        C = np.empty(shape, dtype=np.complex128)
-        if bartlett:
-            normals = None
-        elif len(shares) == 1:
-            normals = C.view(np.float64).reshape(2, M, K)
-        else:
-            normals = np.empty((2, M, K))
+        if not bartlett:
+            H = np.empty((M, K), dtype=np.complex128)
+            C = np.empty((M, K), dtype=np.complex128)
+            normals = C.view(np.float64).reshape(2, M, K) if len(shares) == 1 else np.empty((2, M, K))
 
         def fill(group: list[_Share], rows: slice, stream_offset: int = 0) -> list[tuple]:
             """Draw the trials of rows, trial t on stream t + stream_offset, and
             stack every share's Grams of them."""
-            stacks = [share.stacks(rows.stop - rows.start) for share in group]
-            for i, t in enumerate(range(rows.start, rows.stop)):
-                keyed = rng.keyed(seed, t + stream_offset)
-                if bartlett:
-                    draw = sample_gram_factor(M, K, keyed)
-                else:
-                    draw = sample_normals(M, K, keyed, out=normals)
+            n = rows.stop - rows.start
+            trials = range(rows.start + stream_offset, rows.stop + stream_offset)
+            if bartlett:
+                # np.zeros: each factor leaves its strict lower triangle as it is.
+                factors = np.zeros((n, K, K), dtype=np.complex128)
+                for i, t in enumerate(trials):
+                    sample_gram_factor(M, K, rng.keyed(seed, t), out=factors[i])
+                # The last share scales the factors in place, once the others have read them.
+                *first, last = group
+                spare = np.empty_like(factors) if any(share.sqrt_beta is not None for share in first) else None
+                return [share.grams(factors, factors if share is last else spare, None) for share in group]
+            stacks = [share.stacks(n) for share in group]
+            for i, t in enumerate(trials):
+                draw = sample_normals(M, K, rng.keyed(seed, t), out=normals)
                 for share, stack in zip(group, stacks):
-                    share.add_trial(stack, i, draw, H, C)
+                    for slots, gram in zip(stack, share.grams(draw, H, C)):
+                        if slots is not None:
+                            slots[i] = gram
             return stacks
 
         for start in starts[w::workers]:
@@ -378,11 +437,41 @@ def _run_group(
                         except SingularMatrixError:
                             share.degenerate[t] = True
                             share.write(one, *fill([share], one, stream_offset=T)[0])
+            del stack  # free the Grams before the next stack is drawn
 
     if workers == 1:
         run_worker(0)
     else:
         list(pool.map(run_worker, range(workers)))
+
+
+def _row_powers(scenarios: list[Scenario], grids: list[list[tuple[int, int]]]) -> list[list]:
+    """Row powers of each scenario's M x K draw at each point: the
+    eigenvalues of its correlation R, worked out once per (M, r), or None
+    without correlation.
+
+    Raises ConfigError before the first trial where ZF or the metrics are
+    on and fewer than K eigenvalues of R lie above SINGULAR_RTOL times the
+    largest: every Gram would then be numerically singular.
+    """
+    eigenvalues: dict[tuple[int, float], np.ndarray] = {}
+    powers = []
+    for s, grid in zip(scenarios, grids):
+        r = 0.0 if s.correlation is None else s.correlation.r
+        powers.append([None] * len(grid))
+        if r == 0.0:
+            continue
+        for j, (M, K) in enumerate(grid):
+            lam = eigenvalues.get((M, r))
+            if lam is None:
+                lam = eigenvalues[(M, r)] = exp_correlation_eigenvalues(M, r)
+            if (s.compute_zf or s.compute_metrics) and np.count_nonzero(lam > SINGULAR_RTOL * lam.max()) < K:
+                raise ConfigError(
+                    f"correlation rho ** spacing = {r!r} leaves R fewer than K = {K} eigenvalues above "
+                    f"{SINGULAR_RTOL} times the largest at M = {M}; ZF and the metrics need K"
+                )
+            powers[-1][j] = lam
+    return powers
 
 
 def run_scenarios(scenarios: list[Scenario], workers: int = 1) -> list[SweepResult]:
@@ -397,6 +486,7 @@ def run_scenarios(scenarios: list[Scenario], workers: int = 1) -> list[SweepResu
     """
     grids = [sweep_points(s) for s in scenarios]
     limits = [[_limits(s, M, K) for M, K in grid] for s, grid in zip(scenarios, grids)]
+    row_powers = _row_powers(scenarios, grids)
     groups: dict[tuple, list[tuple[int, int]]] = {}
     for i, (s, grid) in enumerate(zip(scenarios, grids)):
         for j, (M, K) in enumerate(grid):
@@ -408,7 +498,7 @@ def run_scenarios(scenarios: list[Scenario], workers: int = 1) -> list[SweepResu
     states = [RngStream(0) for _ in range(workers)]
     with single_threaded_blas(), ThreadPoolExecutor(max_workers=len(states)) as pool:
         for (M, K, seed, T, bartlett), members in groups.items():
-            shares = [_Share(scenarios[i], M, K, bartlett, limits[i][j]) for i, j in members]
+            shares = [_Share(scenarios[i], M, K, bartlett, row_powers[i][j], limits[i][j]) for i, j in members]
             _run_group(shares, seed, T, bartlett, states, pool)
             for (i, j), share in zip(members, shares):
                 points[i][j] = share.point()

@@ -116,22 +116,43 @@ def single_threaded_blas():
                     set_threads(n)
 
 
+@functools.cache
+def _upper_and_diagonal(K: int) -> np.ndarray:
+    """Mask of the upper triangle of a K x K matrix, its diagonal included."""
+    mask = ~np.tri(K, K, -1, dtype=bool)
+    mask.flags.writeable = False  # shared by every call with this K
+    return mask
+
+
 def gram_normalized(A: np.ndarray, conj: np.ndarray | None = None) -> np.ndarray:
     """Gram matrix conj(A).T @ A, normalized to an exactly Hermitian form.
 
-    The result is exactly Hermitian PSD with a real nonnegative diagonal;
-    its dimension is the column count of A. Dividing it by a positive real,
-    such as the antenna count M, keeps it exactly Hermitian. conj, an array
-    of A's shape and dtype, receives conj(A) in place of a new array.
+    One Gram per matrix of A, an M x K matrix or a stack of shape
+    (..., M, K); each gets the bits it gets alone. The result is exactly
+    Hermitian PSD with a real nonnegative diagonal; its dimension is the
+    column count of A. Dividing it by a positive real, such as the antenna
+    count M, keeps it exactly Hermitian. conj, an array of A's shape and
+    dtype, receives conj(A) in place of a new array.
     """
     # A.conj() of a real A is A itself, which matmul takes to syrk: keep those bits.
-    B = np.matmul((A.conj() if conj is None else np.conjugate(A, out=conj)).T, A)
-    # Rebuild B from its lower triangle so Hermitian symmetry is exact, adding
-    # in place: the bits of low + low.conj().T + diag with fewer temporaries.
-    low = np.tril(B, -1)
-    low += np.conjugate(low.T)
-    low += np.diag(B.diagonal().real)
-    return low
+    B = np.matmul((A.conj() if conj is None else np.conjugate(A, out=conj)).swapaxes(-1, -2), A)
+    # Rebuild B from its strict lower triangle so Hermitian symmetry is exact,
+    # in place and one real part at a time: the bits of low + conj(low.T) +
+    # diag(B.real) with low = tril(B, -1), where x - y is x + (-y) exactly.
+    # Only a lower imaginary part can still be a negative zero after the
+    # first sum, and the added diagonal matrix turns it positive; so does
+    # adding 0.0 first.
+    K = B.shape[-1]
+    diagonal = np.diagonal(B, axis1=-2, axis2=-1).real.copy()
+    np.copyto(B, 0, where=_upper_and_diagonal(K))
+    real = B.real
+    real += real.swapaxes(-1, -2)
+    if np.iscomplexobj(B):
+        imag = B.imag
+        imag += 0.0
+        imag -= imag.swapaxes(-1, -2)
+    B.reshape(*B.shape[:-2], K * K).real[..., :: K + 1] += diagonal
+    return B
 
 
 def _lower_triangular_inverse(L: np.ndarray) -> np.ndarray:

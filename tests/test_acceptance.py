@@ -10,11 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from mimo_converge.channel import CorrelationSpec, RngStream, sample_iid
+from mimo_converge.channel import CorrelationSpec, RngStream
 from mimo_converge.cli import main
 from mimo_converge.montecarlo import FIXED_ALPHA, FIXED_K, Scenario, run_scenario
 from mimo_converge.numerics import gram_normalized, inverse_trace
 from mimo_converge.power import PowerProfile, limiting_moments, link_gains
+
+from oracles import sample_iid
 
 PROFILE = PowerProfile(beta_min=0.1, beta_max=1.0)
 SEED = 20240901

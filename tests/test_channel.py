@@ -19,13 +19,14 @@ from mimo_converge.channel import (
     exp_correlation_eigenvalues,
     row_scale,
     sample_gram_factor,
-    sample_iid,
     sample_normals,
     scale_normals,
 )
 from mimo_converge.metrics import lambda_ratio
 from mimo_converge.numerics import inverse_trace
 from mimo_converge.precoding import mf_sinr_from_gram, zf_snr_from_gram
+
+from oracles import sample_iid
 
 
 def exp_correlation_matrix(M, spec):
@@ -192,6 +193,18 @@ class TestSampleGramFactor:
         a = sample_gram_factor(30, 6, RngStream(42, 5))
         assert a.tobytes() == sample_gram_factor(30, 6, RngStream(42, 5)).tobytes()
         assert a.tobytes() != sample_gram_factor(30, 6, RngStream(42, 6)).tobytes()
+
+    @pytest.mark.parametrize("M, K", [(5, 1), (12, 5), (500, 50)])
+    def test_out_slot_reused_gets_the_bits_of_a_fresh_draw(self, M, K):
+        # the harness draws a stack's factors into the slots of one np.zeros
+        # array; a slot drawn into again holds the new stream's factor alone
+        stack = np.zeros((3, K, K), dtype=np.complex128)
+        sample_gram_factor(M, K, RngStream(4, 0), out=stack[1])
+        drawn = sample_gram_factor(M, K, RngStream(4, 1), out=stack[1])
+        assert drawn.base is stack  # the slot itself, no copy
+        assert stack[1].tobytes() == sample_gram_factor(M, K, RngStream(4, 1)).tobytes()
+        assert np.all(np.tril(stack[1], -1) == 0) and np.all(stack[1].diagonal().imag == 0)
+        assert not stack[0].any() and not stack[2].any()
 
     @pytest.mark.parametrize("M, K", [(5, 5), (50, 5), (1000, 100), (16384, 50)])
     def test_cached_float_shapes_give_the_bits_of_integer_shapes(self, M, K):

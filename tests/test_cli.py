@@ -474,6 +474,24 @@ class TestMainExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("stats, code", [("zf", EXIT_CONFIG), ("metrics", EXIT_CONFIG), ("mf", EXIT_OK)])
+    def test_rank_deficient_correlation_is_config_error_before_any_trial(
+        self, stats, code, tmp_path, monkeypatch, capsys
+    ):
+        # 0.999999 ** 1e-10 is 1 - 2**-53: R keeps one eigenvalue above the
+        # tolerance, so every ZF or metrics Gram at K = 5 is singular; MF runs
+        if code == EXIT_CONFIG:
+            _forbid_trials(monkeypatch)
+        out = tmp_path / "r.csv"
+        argv = ["--mode", "fixed-alpha", "--alpha", "10", "--K", "5", "--stats", stats, "--corr-rho", "0.999999",
+                "--spacing", "1e-10", "--trials", "3", "--output", str(out)]
+        assert main(argv) == code
+        if code == EXIT_CONFIG:
+            assert "fewer than K = 5 eigenvalues" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert out.exists()
+
     @pytest.mark.parametrize("beta_min, beta_max", [("1e-320", "1"), ("1e-310", "1e-5")],
                              ids=["mean-gain-zero", "mean-inverse-gain-infinite"])
     def test_gain_range_with_overflowing_moments_is_config_error(

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimo_converge.channel import RngStream, sample_iid
+from mimo_converge.channel import RngStream
 from mimo_converge.metrics import diagonal_dominance, lambda_ratio, mad
 from mimo_converge.numerics import SingularMatrixError, gram_normalized
+
+from oracles import sample_iid
 
 
 def _sample_w(M, K, seed):

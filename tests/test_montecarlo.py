@@ -13,7 +13,6 @@ from mimo_converge.channel import (
     RngStream,
     exp_correlation_eigenvalues,
     sample_gram_factor,
-    sample_iid,
 )
 from mimo_converge.metrics import diagonal_dominance, lambda_ratio, mad
 from mimo_converge.montecarlo import (
@@ -30,6 +29,8 @@ from mimo_converge.numerics import SingularMatrixError, gram_normalized, inverse
 from mimo_converge.power import PowerProfile, link_gains
 from mimo_converge.precoding import mf_sinr_from_gram, zf_snr_from_gram
 from mimo_converge.presets import build_preset
+
+from oracles import sample_iid
 
 
 def _scenario(**kw):
@@ -252,17 +253,18 @@ class TestOneGramPerMatrix:
     ], ids=["equal-powers", "profile-source-H", "metrics-only-source-H", "source-G"])
     def test_grams_per_trial(self, kw, grams, monkeypatch):
         # the precoders read the Gram of G; the metrics read it too, unless
-        # they read H's and the gains make H differ from G
-        calls = 0
+        # they read H's and the gains make H differ from G. A call forms one
+        # Gram per matrix of its stack.
+        formed = 0
 
         def spy(A, conj=None):
-            nonlocal calls
-            calls += 1
+            nonlocal formed
+            formed += A[..., 0, 0].size
             return gram_normalized(A, conj)
 
         monkeypatch.setattr(mc, "gram_normalized", spy)
         run_scenario(_scenario(trials=7, **kw))
-        assert calls == 7 * grams
+        assert formed == 7 * grams
 
 
 class TestDrawChoice:
@@ -313,6 +315,19 @@ class TestDegenerateRetry:
         assert run_scenario(_scenario(trials=20)).points[0].degenerate_trials == 0
 
 
+def _record_chunks(monkeypatch):
+    """Record the stack size of every point the harness runs."""
+    chunks = []
+    original = mc._chunk
+
+    def spy(*args):
+        chunks.append(original(*args))
+        return chunks[-1]
+
+    monkeypatch.setattr(mc, "_chunk", spy)
+    return chunks
+
+
 def _gram_stack(M, K, trials, seed):
     beta = link_gains(K, PowerProfile(0.1, 1.0))
     return np.stack([
@@ -352,7 +367,9 @@ class TestStackedKernel:
     def test_results_independent_of_stack_size(self, scenario, workers, monkeypatch):
         stacked = run_scenario(scenario, workers=workers)
         monkeypatch.setattr(mc, "_STACK_BYTES", 1)  # one trial per stack
+        chunks = _record_chunks(monkeypatch)
         assert run_scenario(scenario, workers=workers) == stacked
+        assert set(chunks) == {1}
 
     @pytest.mark.parametrize("draw, correlation, retry_singular", [
         ("sample_gram_factor", None, False),
@@ -424,6 +441,7 @@ class TestStackedKernel:
 
 
 _CORR_GRID = dict(mode=FIXED_K, K=6, sweep=(4, 8, 24), trials=9, seed=5, compute_metrics=False)
+_BARTLETT_GRID = dict(mode=FIXED_ALPHA, alpha=3.0, sweep=(2, 4, 8), trials=9, seed=7)
 _METRICS_GRID = dict(mode=FIXED_ALPHA, alpha=3.0, sweep=(2, 4), trials=9, seed=6,
                      correlation=CorrelationSpec(0.6), profile=PowerProfile(0.2, 1.0))
 
@@ -451,6 +469,18 @@ SHARED_RUNS = {
         Scenario(**_METRICS_GRID, gram_source="G", compute_zf=False, compute_mf=False),
         Scenario(**{**_METRICS_GRID, "correlation": CorrelationSpec(0.9)}, gram_source="G"),
     ], 2 * 9),
+    # one stack of Bartlett factors for all three: the last share scales it
+    # in place, the others into a spare array, and none sees another's gains
+    "factor-stack-gains-scaled-in-place": ([
+        Scenario(**_BARTLETT_GRID, profile=PowerProfile(0.2, 1.0)),
+        Scenario(**_BARTLETT_GRID),
+        Scenario(**_BARTLETT_GRID, profile=PowerProfile(0.5, 1.0), gram_source="G"),
+    ], 0),
+    "factor-stack-gains-scaled-aside": ([
+        Scenario(**_BARTLETT_GRID, profile=PowerProfile(0.2, 1.0)),
+        Scenario(**_BARTLETT_GRID, profile=PowerProfile(0.5, 1.0), gram_source="G"),
+        Scenario(**_BARTLETT_GRID),
+    ], 0),
 }
 
 
@@ -475,8 +505,11 @@ class TestRunScenarios:
         scenarios, _ = SHARED_RUNS[run]
         if stack_bytes is not None:
             monkeypatch.setattr(mc, "_STACK_BYTES", stack_bytes)
+        chunks = _record_chunks(monkeypatch)
         separate = [run_scenario(s, workers=workers) for s in scenarios]
         assert run_scenarios(scenarios, workers=workers) == separate
+        if stack_bytes is not None:  # no point of these runs goes to the pool
+            assert set(chunks) == {1}
 
     @pytest.mark.parametrize("run", sorted(SHARED_RUNS))
     def test_one_raw_draw_per_trial_per_group(self, run, monkeypatch):
@@ -554,3 +587,148 @@ class TestRunScenarios:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * M * K * 16
+
+
+_FIG5_POINTS = dict(mode=FIXED_ALPHA, alpha=10.0, trials=13, seed=8, profile=PowerProfile(0.1, 1.0),
+                    compute_metrics=False)
+# Points on both sides of the pool rule: Bartlett precoders at K = 5 and 100,
+# Bartlett metrics at K = 16 and 64, and fig7's M x K normals at K = 20 and 50.
+SCHEDULE_RUNS = {
+    "bartlett-precoder": [Scenario(**_FIG5_POINTS, sweep=(5, 100))],
+    "bartlett-metrics": [Scenario(mode=FIXED_ALPHA, alpha=2.0, sweep=(16, 64), trials=21, seed=9,
+                                  profile=PowerProfile(0.2, 1.0))],
+    "correlated-pair": [Scenario(**_FIG5_POINTS, sweep=(20, 50), correlation=CorrelationSpec(rho))
+                        for rho in (0.5, 0.9)],
+}
+
+
+class _SpyPool(mc.ThreadPoolExecutor):
+    """The harness's pool, counting the points it is handed."""
+
+    maps = 0
+
+    def map(self, *args, **kwargs):
+        type(self).maps += 1
+        return super().map(*args, **kwargs)
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("K, T, workers, metrics, chunk", [
+        # one worker: stacks within the 256 KiB byte cap, all trials at most
+        (10, 1000, 1, True, 163), (50, 12, 1, True, 6), (50, 1000, 1, False, 6),
+        (256, 1000, 1, True, 1), (5, 60, 1, False, 60),
+        # pooled: every worker gets a stack
+        (50, 60, 2, False, 6), (100, 60, 2, False, 1), (10, 60, 2, False, 30),
+        # pooled metrics: more than 500 eigenvalues per eigvalsh call, past the cap
+        (50, 1000, 2, True, 11), (64, 1000, 2, True, 8), (256, 1000, 3, True, 2),
+        (8, 1000, 2, True, 256), (10, 60, 2, True, 51),
+    ])
+    def test_chunk_rule(self, K, T, workers, metrics, chunk):
+        assert mc._chunk(K, T, workers, metrics) == chunk
+
+    @pytest.mark.parametrize("K", [2, 8, 10, 50, 64, 100, 128, 256])
+    def test_pooled_metrics_stacks_release_the_gil(self, K):
+        assert mc._chunk(K, 1000, 2, True) * K > mc._EIGVALSH_NOGIL
+
+    @pytest.mark.parametrize("M, K, T, workers, bartlett, metrics, expected", [
+        # Bartlett points: K^3 decides, from K = 50 with the metrics and
+        # from K = 100 for the precoders alone
+        (50, 5, 60, 2, True, False, 1), (200, 20, 60, 2, True, False, 1),
+        (500, 50, 60, 2, True, False, 1), (1000, 100, 60, 2, True, False, 2),
+        (320, 32, 1000, 2, True, True, 1), (16384, 10, 1000, 2, True, True, 1),
+        (64, 50, 1000, 2, True, True, 2), (640, 64, 1000, 2, True, True, 2),
+        # M x K normals: M K^2 decides
+        (200, 20, 60, 2, False, False, 1), (300, 30, 60, 2, False, False, 1),
+        (500, 50, 60, 2, False, False, 2), (16384, 10, 60, 2, False, True, 2),
+        # one worker, or one stack, runs alone
+        (1000, 100, 60, 1, True, False, 1), (1000, 100, 1, 2, True, False, 1),
+        (640, 64, 8, 2, True, True, 1),
+        # no more workers than stacks
+        (1000, 100, 2, 3, True, False, 2), (1000, 100, 60, 3, True, False, 3),
+    ])
+    def test_pool_rule(self, M, K, T, workers, bartlett, metrics, expected):
+        assert mc._point_workers(M, K, T, workers, bartlett, metrics) == expected
+
+    @pytest.mark.parametrize("K, maps", [(5, 0), (100, 1)])
+    def test_small_bartlett_point_never_reaches_the_pool(self, K, maps, monkeypatch):
+        monkeypatch.setattr(_SpyPool, "maps", 0)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", _SpyPool)
+        run_scenario(Scenario(**{**_FIG5_POINTS, "trials": 60}, sweep=(K,)), workers=2)
+        assert _SpyPool.maps == maps
+
+    @pytest.mark.parametrize("run", sorted(SCHEDULE_RUNS))
+    def test_bytes_independent_of_workers(self, run, monkeypatch):
+        scenarios = SCHEDULE_RUNS[run]
+        one = run_scenarios(scenarios, workers=1)
+        monkeypatch.setattr(_SpyPool, "maps", 0)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", _SpyPool)
+        for workers in (2, 3):
+            assert run_scenarios(scenarios, workers=workers) == one
+        assert _SpyPool.maps == 2  # the larger point of each run, at 2 and 3 workers
+        monkeypatch.setattr(mc, "_STACK_BYTES", 1)
+        assert run_scenarios(scenarios, workers=2) == one
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_degenerate_trial_in_a_factor_stack_retries_on_its_own_stream(self, workers, monkeypatch):
+        # trial 7 of a K = 50 point sits inside a stack of six factors
+        trials = 24
+        s = Scenario(**{**_FIG5_POINTS, "trials": trials}, sweep=(50,))
+        original = mc.sample_gram_factor
+        draws = []
+
+        def zero_column(M, K, rng, out=None):
+            draws.append((rng.stream, 1 if out is None else out.base.shape[0]))
+            R = original(M, K, rng, out=out)
+            if rng.stream == 7:
+                R[:, 1] = 0.0
+            return R
+
+        monkeypatch.setattr(mc, "sample_gram_factor", zero_column)
+        retried = run_scenario(s, workers=workers).points[0]
+        assert retried.degenerate_trials == 1
+        assert (7, 6) in draws  # first drawn inside a stack of six
+        assert [stream for stream, _ in draws].count(7) == 2
+        assert (trials + 7, 1) in draws
+
+        def replaced(M, K, rng, out=None):
+            stream = trials + 7 if rng.stream == 7 else rng.stream
+            return original(M, K, RngStream(rng.seed, stream), out=out)
+
+        monkeypatch.setattr(mc, "sample_gram_factor", replaced)
+        assert run_scenario(s, workers=workers).points[0].stats == retried.stats
+
+
+class TestCorrelationRank:
+    @pytest.mark.parametrize("stats", [dict(compute_mf=False, compute_metrics=False),
+                                       dict(compute_zf=False, compute_mf=False)],
+                             ids=["zf", "metrics"])
+    def test_rank_deficient_correlation_rejected_before_any_draw(self, stats, monkeypatch):
+        # rho ** spacing = 1 - 2**-53 leaves R one eigenvalue above the tolerance
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a trial ran before the configuration was rejected")
+
+        monkeypatch.setattr(mc, "sample_normals", no_draw)
+        s = _scenario(sweep=(5,), trials=3, correlation=CorrelationSpec(0.999999, spacing=1e-10), **stats)
+        with pytest.raises(ConfigError, match="fewer than K = 5 eigenvalues"):
+            run_scenario(s)
+
+    def test_mf_alone_runs_on_a_rank_deficient_correlation(self):
+        s = _scenario(sweep=(5,), trials=3, correlation=CorrelationSpec(0.999999, spacing=1e-10),
+                      compute_zf=False, compute_metrics=False)
+        assert run_scenario(s).points[0].stats["mf_sinr_mean"].trials == 3
+
+    def test_eigenvalues_once_per_antenna_count_and_correlation(self, monkeypatch):
+        # fig7's two rho values at five K, and a second fig7 run on other
+        # gains that shares every (M, r) with the first
+        calls = []
+        original = mc.exp_correlation_eigenvalues
+
+        def spy(M, r):
+            calls.append((M, r))
+            return original(M, r)
+
+        monkeypatch.setattr(mc, "exp_correlation_eigenvalues", spy)
+        fig7 = build_preset("fig7", seed=3, trials=2)
+        other_gains = [dataclasses.replace(s, profile=PowerProfile(0.5, 1.0)) for s in fig7]
+        run_scenarios(fig7 + other_gains, workers=2)
+        assert len(calls) == len(set(calls)) == 2 * 5

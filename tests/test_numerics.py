@@ -79,6 +79,19 @@ class TestGramNormalized:
             assert gram_normalized(X, conj).tobytes() == reference(X).tobytes()
             assert conj.tobytes() == X.conj().tobytes()
 
+    @pytest.mark.parametrize("m, k", [(1, 1), (5, 3), (10, 10), (100, 10), (300, 256)])
+    def test_stack_gets_the_bits_of_each_matrix(self, m, k):
+        # one call over a stack, with and without a conjugate buffer, forms
+        # the Gram each matrix gets alone, negative zeros and real input too
+        A = _random_complex(m, k, seed=m * k)
+        for stack in (np.stack([A, A.real - 0j, -0.0 * A, 2 * A]), np.stack([A.real, -A.real])):
+            alone = [gram_normalized(X).tobytes() for X in stack]
+            assert [W.tobytes() for W in gram_normalized(stack)] == alone
+            if np.iscomplexobj(stack):
+                conj = np.empty_like(stack)
+                assert [W.tobytes() for W in gram_normalized(stack, conj)] == alone
+                assert conj.tobytes() == stack.conj().tobytes()
+
     @given(st.integers(2, 12), st.integers(1, 12), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_psd_up_to_slack(self, m, k, seed):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimo_converge.channel import RngStream, sample_iid
+from mimo_converge.channel import RngStream
 from mimo_converge.numerics import gram_normalized
 from mimo_converge.power import PowerProfile, limiting_moments, link_gains
 from mimo_converge.precoding import (
@@ -22,6 +22,8 @@ from mimo_converge.precoding import (
     zf_snr_from_gram,
     zf_snr_limit,
 )
+
+from oracles import sample_iid
 
 RHO_F, ALPHA = 1.0, 10.0
 
