@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,8 +126,9 @@ def scale_normals(parts: np.ndarray, scale: np.ndarray | float, out: np.ndarray)
     return out
 
 
-def exp_correlation_eigenvalues(M: int, r: float) -> np.ndarray:
-    """The M eigenvalues of the correlation matrix R_ij = r**|i - j|, 0 < r < 1.
+def exp_correlation_eigenvalues(Ms: Sequence[int], r: float) -> list[np.ndarray]:
+    """The M eigenvalues of the correlation matrix R_ij = r**|i - j|, 0 < r < 1,
+    for each antenna count M of Ms, in the order of Ms.
 
     Kac, Murdock and Szego (J. Rational Mech. Anal. 2, 1953):
     lambda_k = (1 - r^2) / ((1 - r)^2 + 4 r sin^2(theta_k / 2)), where
@@ -134,28 +136,53 @@ def exp_correlation_eigenvalues(M: int, r: float) -> np.ndarray:
     sin((M + 1) theta) - 2 r sin(M theta) + r^2 sin((M - 1) theta). That
     function is |1 - r e^(-i theta)|^2 sin(phi(theta)), whose phase
     phi(theta) = (M + 1) theta + 2 arg(1 - r e^(-i theta)) rises from 0 to
-    (M + 1) pi, so theta_k solves phi(theta) = k pi. Every root is bisected
-    inside its bracket, all M at once, and every bracket must change sign:
-    M disjoint brackets give M distinct eigenvalues, largest first.
+    (M + 1) pi, so theta_k solves phi(theta) = k pi. Every root of every M
+    is bisected inside its bracket, all in one array, and every bracket
+    must change sign: M disjoint brackets give M distinct eigenvalues,
+    largest first. Each root gets the bits it gets alone.
     """
-    if not (M >= 1 and 0.0 < r < 1.0):
-        raise ValueError(f"need M >= 1 and 0 < r < 1, got M={M}, r={r}")
-    edges = np.arange(M + 1) * (np.pi / (M + 1))
-    lo, hi = edges[:-1], edges[1:]
+    if not (len(Ms) > 0 and min(Ms) >= 1 and 0.0 < r < 1.0):
+        raise ValueError(f"need antenna counts M >= 1 and 0 < r < 1, got M={list(Ms)}, r={r}")
+    edges = [np.arange(M + 1) * (np.pi / (M + 1)) for M in Ms]
+    lo = np.concatenate([e[:-1] for e in edges])
+    top = np.concatenate([e[1:] for e in edges])
+    hi = top.copy()
+    scale = np.repeat(np.array(Ms, dtype=np.float64) + 1, Ms)  # M + 1 of each root's M
+    # Every step works in these rows: a fresh temporary of this size per
+    # operation would be mapped and faulted in each time.
+    mid, x, y = np.empty((3, lo.size))
 
     def excess(theta):
         """phi(theta) - k pi, with k pi as (M + 1) times the top edge of bracket
-        k: there the excess is 2 arg(1 - r e^(-i theta)) >= 0 exactly."""
-        one_minus_cos = (1 - r) + 2 * r * np.sin(theta / 2) ** 2  # 1 - r cos(theta), no cancellation
-        return (M + 1) * (theta - edges[1:]) + 2 * np.arctan2(r * np.sin(theta), one_minus_cos)
+        k: there the excess is 2 arg(1 - r e^(-i theta)) >= 0 exactly. The
+        bits of (M + 1) * (theta - top) + 2 * arctan2(r sin(theta),
+        (1 - r) + 2 r sin(theta / 2)^2), the second argument being
+        1 - r cos(theta) without cancellation; returned in x."""
+        np.sin(np.divide(theta, 2, out=x), out=x)
+        np.add(np.multiply(np.square(x, out=x), 2 * r, out=x), 1 - r, out=x)
+        np.multiply(np.sin(theta, out=y), r, out=y)
+        np.multiply(np.arctan2(y, x, out=y), 2, out=y)
+        np.multiply(np.subtract(theta, top, out=x), scale, out=x)
+        return np.add(x, y, out=x)
 
-    if not (np.all(excess(lo) < 0) and np.all(excess(hi) >= 0)):
-        raise ArithmeticError(f"a root bracket does not change sign at M={M}, r={r}")
-    for _ in range(64):  # a bracket no wider than pi/2 halves to a few ulps
-        mid = 0.5 * (lo + hi)
+    bad = ~(excess(lo) < 0)
+    bad |= ~(excess(hi) >= 0)
+    if bad.any():
+        M = scale[np.argmax(bad)] - 1
+        raise ArithmeticError(f"a root bracket does not change sign at M={M:.0f}, r={r}")
+    # Since excess(lo) < 0 <= excess(hi) throughout, a midpoint equal to an
+    # end of its bracket moves neither end: once every midpoint is one, no
+    # further step changes a bit. A bracket no wider than pi/2 gets there
+    # within 64 halvings.
+    for _ in range(64):
+        np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
+        if np.all((mid == lo) | (mid == hi)):
+            break
         below = excess(mid) < 0
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return (1 - r) * (1 + r) / ((1 - r) ** 2 + 4 * r * np.sin(0.25 * (lo + hi)) ** 2)
+        np.copyto(lo, mid, where=below)
+        np.copyto(hi, mid, where=~below)
+    lam = (1 - r) * (1 + r) / ((1 - r) ** 2 + 4 * r * np.sin(0.25 * (lo + hi)) ** 2)
+    return np.split(lam, np.cumsum(Ms)[:-1])
 
 
 @functools.cache

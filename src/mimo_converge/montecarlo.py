@@ -212,6 +212,20 @@ def _summary(values: np.ndarray, limit: float | None = None) -> StatSummary:
     )
 
 
+def _column_summaries(values: np.ndarray, limits: list[float | None]) -> list[StatSummary]:
+    """_summary of each column of a T x n array, with the limits of the
+    columns: one mean and one std call over a C-ordered n x T copy, which
+    reduce each row as _summary reduces the column alone."""
+    n = int(values.shape[0])
+    rows = np.ascontiguousarray(values.T)
+    means = rows.mean(axis=1)
+    stds = rows.std(axis=1, ddof=1) if n > 1 else np.zeros(rows.shape[0])
+    return [
+        StatSummary(mean=float(mean), std=float(std), stderr=float(std) / math.sqrt(n), trials=n, limit=limit)
+        for mean, std, limit in zip(means, stds, limits)
+    ]
+
+
 def _limits(scenario: Scenario, M: int, K: int) -> dict[str, float]:
     """Large-system limit of every statistic that has one at (M, K), by row name.
 
@@ -278,22 +292,20 @@ class _Share:
             np.empty(shape, dtype=np.complex128) if self.metrics_on_h else None,
         )
 
-    def grams(self, draw: np.ndarray, H: np.ndarray | None, C: np.ndarray) -> tuple:
+    def grams(self, draw: np.ndarray, H: np.ndarray | None) -> tuple:
         """The Grams of G and of H, None where none is formed, of one draw.
 
         draw is the shared normals of one trial, or a stack of Bartlett
         factors, one per trial; only an H that is draw itself changes it.
-        H and C are buffers of draw's shape for this scenario's channel and
-        for the conjugate inside each Gram. A stack of factors gets no C, so
-        each Gram call frees its conjugates before it rebuilds the Gram, and
-        H may be the stack itself, scaled in place after the Gram of H has
-        read it.
+        H is a buffer of the channel's shape for this scenario's channel; for
+        a stack of factors it may be the stack itself, scaled in place after
+        the Gram of H has read it.
         """
         if self.scale is not None:
             draw = scale_normals(draw, self.scale, H)
-        gram_h = gram_normalized(draw, C) if self.metrics_on_h else None
+        gram_h = gram_normalized(draw) if self.metrics_on_h else None
         G = draw if self.sqrt_beta is None else np.multiply(draw, self.sqrt_beta, out=H)
-        gram_g = gram_normalized(G, C) if self.gram_of_g else None
+        gram_g = gram_normalized(G) if self.gram_of_g else None
         return gram_g, gram_h
 
     def write(self, rows: slice, gram_g: np.ndarray | None, gram_h: np.ndarray | None) -> None:
@@ -313,18 +325,18 @@ class _Share:
             cols["diagonal_dominance"][rows] = diagonal_dominance(W)
 
     def point(self) -> SweepPoint:
-        cols, K = self.cols, self.K
-        columns = {name: cols[name] for name in ("mad", "lambda_ratio", "diagonal_dominance", "zf_snr")
-                   if name in cols}
+        cols, K, limits = self.cols, self.K, self.limits
+        stats = {name: _summary(cols[name], limits.get(name))
+                 for name in ("mad", "lambda_ratio", "diagonal_dominance", "zf_snr") if name in cols}
         if "mf_sinr" in cols:
-            columns["mf_sinr_mean"] = cols["mf_sinr"].mean(axis=1)
-            for i in range(K):
-                columns[f"mf_sinr_user_{i + 1:03d}"] = cols["mf_sinr"][:, i]
+            stats["mf_sinr_mean"] = _summary(cols["mf_sinr"].mean(axis=1), limits.get("mf_sinr_mean"))
+            users = [f"mf_sinr_user_{i + 1:03d}" for i in range(K)]
+            stats.update(zip(users, _column_summaries(cols["mf_sinr"], [limits.get(u) for u in users])))
         return SweepPoint(
             M=self.M,
             K=K,
             alpha=self.M / K,
-            stats={name: _summary(values, self.limits.get(name)) for name, values in columns.items()},
+            stats=stats,
             degenerate_trials=int(self.degenerate.sum()),
         )
 
@@ -380,10 +392,8 @@ def _run_group(
     Grams of the stack in one call; the last share scales the factors by
     its gains in place, and any other share that scales them does so into
     a spare array. Both are freed before the statistics run. An M x K draw
-    fills buffers of the worker's own that live for the point, one trial at
-    a time: the shared normals, each share's channel H, and the conjugate C
-    inside a Gram. A lone share draws its normals into C's memory, since it
-    has scaled them into H before C is written.
+    fills two buffers of the worker's own that live for the point, one
+    trial at a time: the shared normals, and each share's channel H in turn.
     """
     M, K = shares[0].M, shares[0].K
     metrics = any(share.scenario.compute_metrics for share in shares)
@@ -395,8 +405,7 @@ def _run_group(
         rng = states[w]
         if not bartlett:
             H = np.empty((M, K), dtype=np.complex128)
-            C = np.empty((M, K), dtype=np.complex128)
-            normals = C.view(np.float64).reshape(2, M, K) if len(shares) == 1 else np.empty((2, M, K))
+            normals = np.empty((2, M, K))
 
         def fill(group: list[_Share], rows: slice, stream_offset: int = 0) -> list[tuple]:
             """Draw the trials of rows, trial t on stream t + stream_offset, and
@@ -411,12 +420,12 @@ def _run_group(
                 # The last share scales the factors in place, once the others have read them.
                 *first, last = group
                 spare = np.empty_like(factors) if any(share.sqrt_beta is not None for share in first) else None
-                return [share.grams(factors, factors if share is last else spare, None) for share in group]
+                return [share.grams(factors, factors if share is last else spare) for share in group]
             stacks = [share.stacks(n) for share in group]
             for i, t in enumerate(trials):
                 draw = sample_normals(M, K, rng.keyed(seed, t), out=normals)
                 for share, stack in zip(group, stacks):
-                    for slots, gram in zip(stack, share.grams(draw, H, C)):
+                    for slots, gram in zip(stack, share.grams(draw, H)):
                         if slots is not None:
                             slots[i] = gram
             return stacks
@@ -447,30 +456,35 @@ def _run_group(
 
 def _row_powers(scenarios: list[Scenario], grids: list[list[tuple[int, int]]]) -> list[list]:
     """Row powers of each scenario's M x K draw at each point: the
-    eigenvalues of its correlation R, worked out once per (M, r), or None
-    without correlation.
+    eigenvalues of its correlation R, or None without correlation. One
+    bisection per distinct r of the run works them out for every M at
+    which a scenario with that r draws.
 
     Raises ConfigError before the first trial where ZF or the metrics are
     on and fewer than K eigenvalues of R lie above SINGULAR_RTOL times the
     largest: every Gram would then be numerically singular.
     """
+    rs = [0.0 if s.correlation is None else s.correlation.r for s in scenarios]
+    antennas: dict[float, set[int]] = {}
+    for r, grid in zip(rs, grids):
+        if r != 0.0:
+            antennas.setdefault(r, set()).update(M for M, _ in grid)
     eigenvalues: dict[tuple[int, float], np.ndarray] = {}
+    for r, Ms in antennas.items():
+        Ms = sorted(Ms)
+        eigenvalues.update(((M, r), lam) for M, lam in zip(Ms, exp_correlation_eigenvalues(Ms, r)))
     powers = []
-    for s, grid in zip(scenarios, grids):
-        r = 0.0 if s.correlation is None else s.correlation.r
+    for s, r, grid in zip(scenarios, rs, grids):
         powers.append([None] * len(grid))
         if r == 0.0:
             continue
         for j, (M, K) in enumerate(grid):
-            lam = eigenvalues.get((M, r))
-            if lam is None:
-                lam = eigenvalues[(M, r)] = exp_correlation_eigenvalues(M, r)
+            lam = powers[-1][j] = eigenvalues[(M, r)]
             if (s.compute_zf or s.compute_metrics) and np.count_nonzero(lam > SINGULAR_RTOL * lam.max()) < K:
                 raise ConfigError(
                     f"correlation rho ** spacing = {r!r} leaves R fewer than K = {K} eigenvalues above "
                     f"{SINGULAR_RTOL} times the largest at M = {M}; ZF and the metrics need K"
                 )
-            powers[-1][j] = lam
     return powers
 
 

@@ -29,6 +29,11 @@ _pin_lock = threading.Lock()
 _pin_depth = 0
 _pin_saved: list[int] = []
 
+# zherk's real alpha and beta, by address: C = 1 * A A^H + 0 * C, so C is
+# written, not read. Shared by every call and thread, as zherk only reads them.
+_HERK_ALPHA = ctypes.byref(ctypes.c_double(1.0))
+_HERK_BETA = ctypes.byref(ctypes.c_double(0.0))
+
 
 class SingularMatrixError(np.linalg.LinAlgError):
     """Matrix is numerically singular (e.g. a degenerate channel sample)."""
@@ -89,6 +94,27 @@ def _ztrtri() -> Callable[..., None] | None:
     return None
 
 
+@functools.cache
+def _zherk() -> Callable[..., None] | None:
+    """BLAS's complex Hermitian rank-k update zherk from the bundled OpenBLAS,
+    None where no bundled library exports it.
+
+    Fortran calling convention with 64-bit integers: (uplo, trans, n, k,
+    alpha, a, lda, beta, c, ldc), every argument by address, alpha and
+    beta real. ctypes releases the GIL during the call.
+    """
+    for lib in _openblas_libraries():
+        try:
+            herk = lib.scipy_zherk_64_
+        except AttributeError:
+            continue
+        int_p, real_p, array_p = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
+        herk.argtypes = [ctypes.c_char_p, ctypes.c_char_p, int_p, int_p, real_p, array_p, int_p, real_p, array_p, int_p]
+        herk.restype = None
+        return herk
+    return None
+
+
 @contextmanager
 def single_threaded_blas():
     """Pin every bundled OpenBLAS to one thread for the duration of the block.
@@ -124,18 +150,25 @@ def _upper_and_diagonal(K: int) -> np.ndarray:
     return mask
 
 
-def gram_normalized(A: np.ndarray, conj: np.ndarray | None = None) -> np.ndarray:
+def gram_normalized(A: np.ndarray) -> np.ndarray:
     """Gram matrix conj(A).T @ A, normalized to an exactly Hermitian form.
 
     One Gram per matrix of A, an M x K matrix or a stack of shape
-    (..., M, K); each gets the bits it gets alone. The result is exactly
-    Hermitian PSD with a real nonnegative diagonal; its dimension is the
-    column count of A. Dividing it by a positive real, such as the antenna
-    count M, keeps it exactly Hermitian. conj, an array of A's shape and
-    dtype, receives conj(A) in place of a new array.
+    (..., M, K). The result is exactly Hermitian PSD with a real
+    nonnegative diagonal; its dimension is the column count of A. Dividing
+    it by a positive real, such as the antenna count M, keeps it exactly
+    Hermitian. A complex M x K matrix gets its lower triangle from BLAS's
+    zherk, half the multiply-adds of a full product; a stack, a real
+    matrix, or a complex one where no bundled zherk is found, gets it from
+    matmul, which gives each matrix of a stack the bits it gets alone.
+    The two products may differ in the last bit of an entry.
     """
-    # A.conj() of a real A is A itself, which matmul takes to syrk: keep those bits.
-    B = np.matmul((A.conj() if conj is None else np.conjugate(A, out=conj)).swapaxes(-1, -2), A)
+    herk = _zherk() if A.ndim == 2 and A.dtype == np.complex128 else None
+    if herk is None:
+        # A.conj() of a real A is A itself, which matmul takes to syrk: keep those bits.
+        B = np.matmul(A.conj().swapaxes(-1, -2), A)
+    else:
+        B = _herk_lower(herk, np.ascontiguousarray(A))
     # Rebuild B from its strict lower triangle so Hermitian symmetry is exact,
     # in place and one real part at a time: the bits of low + conj(low.T) +
     # diag(B.real) with low = tril(B, -1), where x - y is x + (-y) exactly.
@@ -152,6 +185,23 @@ def gram_normalized(A: np.ndarray, conj: np.ndarray | None = None) -> np.ndarray
         imag += 0.0
         imag -= imag.swapaxes(-1, -2)
     B.reshape(*B.shape[:-2], K * K).real[..., :: K + 1] += diagonal
+    return B
+
+
+def _herk_lower(herk: Callable[..., None], A: np.ndarray) -> np.ndarray:
+    """K x K array whose lower triangle and diagonal hold those of conj(A).T @ A,
+    for a C-ordered complex128 M x K matrix A; its strict upper triangle is
+    left unwritten.
+
+    zherk reads A's buffer column-major, as the K x M matrix A.T, and forms
+    the upper triangle of A.T @ conj(A), the conjugate of the Gram, which is
+    the Gram's lower triangle in C order. Its diagonal imaginary parts are
+    exact zeros.
+    """
+    M, K = A.shape
+    B = np.empty((K, K), dtype=np.complex128)
+    n, k = ctypes.byref(ctypes.c_int64(K)), ctypes.byref(ctypes.c_int64(M))
+    herk(b"U", b"N", n, k, _HERK_ALPHA, A.ctypes.data, n, _HERK_BETA, B.ctypes.data, n)
     return B
 
 

@@ -17,16 +17,14 @@ from mimo_converge.channel import (
     CorrelationSpec,
     RngStream,
     exp_correlation_eigenvalues,
-    row_scale,
     sample_gram_factor,
     sample_normals,
-    scale_normals,
 )
 from mimo_converge.metrics import lambda_ratio
 from mimo_converge.numerics import inverse_trace
 from mimo_converge.precoding import mf_sinr_from_gram, zf_snr_from_gram
 
-from oracles import sample_iid
+from oracles import correlation_eigenvalues, sample_iid
 
 
 def exp_correlation_matrix(M, spec):
@@ -109,13 +107,6 @@ class TestSampleNormals:
         out = np.empty((2, 7, 3))
         assert sample_normals(7, 3, RngStream(4, 2), out=out) is out
         assert out.tobytes() == sample_normals(7, 3, RngStream(4, 2)).tobytes()
-
-    def test_draw_into_the_memory_of_a_complex_buffer(self):
-        # a lone correlated scenario draws its normals into its conjugate buffer
-        C = np.empty((7, 3), dtype=np.complex128)
-        parts = sample_normals(7, 3, RngStream(4, 2), out=C.view(np.float64).reshape(2, 7, 3))
-        H = scale_normals(parts, row_scale(), np.empty((7, 3), dtype=np.complex128))
-        assert H.tobytes() == sample_iid(7, 3, RngStream(4, 2)).tobytes()
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
@@ -326,7 +317,7 @@ class TestExpCorrelationEigenvalues:
     ])
     def test_match_dense_eigvalsh(self, M, rho, spacing):
         spec = CorrelationSpec(rho, spacing)
-        lam = exp_correlation_eigenvalues(M, spec.r)
+        [lam] = exp_correlation_eigenvalues([M], spec.r)
         assert lam.shape == (M,) and np.all(np.diff(lam) < 0)  # distinct, largest first
         np.testing.assert_allclose(lam[::-1], np.linalg.eigvalsh(exp_correlation_matrix(M, spec)),
                                    rtol=1e-10)
@@ -343,21 +334,44 @@ class TestExpCorrelationEigenvalues:
         L = np.linalg.cholesky(exp_correlation_matrix(M, spec))
         Z = sample_iid(M, 6, RngStream(14, M))
         V = np.linalg.eigh(L.conj().T @ L)[1][:, ::-1]
-        lam = exp_correlation_eigenvalues(M, spec.r)
+        [lam] = exp_correlation_eigenvalues([M], spec.r)
         expected = stacked_gram(L @ Z)
         error = np.linalg.norm(stacked_gram(np.sqrt(lam)[:, np.newaxis] * (V.conj().T @ Z)) - expected)
         assert error / np.linalg.norm(expected) < 1e-12
 
     def test_trace_moments_at_the_largest_preset_size(self):
         M, r = 16384, 0.9
-        lam = exp_correlation_eigenvalues(M, r)
+        [lam] = exp_correlation_eigenvalues([M], r)
         np.testing.assert_allclose(lam.sum(), M, rtol=1e-12)
         np.testing.assert_allclose((lam**2).sum(), tr_r_squared(M, r), rtol=1e-12)
 
     @pytest.mark.parametrize("M, r", [(0, 0.5), (4, 0.0), (4, 1.0), (4, -0.5)])
     def test_rejects_outside_the_domain(self, M, r):
         with pytest.raises(ValueError):
-            exp_correlation_eigenvalues(M, r)
+            exp_correlation_eigenvalues([M], r)
+
+    def test_rejects_no_antenna_count(self):
+        with pytest.raises(ValueError):
+            exp_correlation_eigenvalues([], 0.5)
+
+    @pytest.mark.parametrize("r", [1e-3, 0.5, 0.9, 0.999])
+    def test_grouped_call_has_the_bits_of_64_steps_per_m(self, r, monkeypatch):
+        # the oracle bisects one M for a fixed 64 steps; the grouped call
+        # bisects all M in one array and stops once no bracket moves
+        Ms = [1, 2, 3, 7, 8, 50, 63, 500, 1000, 16384]
+        steps = 0
+        arctan2 = np.arctan2
+
+        def counting(*args, **kwargs):
+            nonlocal steps
+            steps += 1
+            return arctan2(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arctan2", counting)  # one call per excess evaluation
+        grouped = exp_correlation_eigenvalues(Ms, r)
+        monkeypatch.undo()
+        assert [lam.tobytes() for lam in grouped] == [correlation_eigenvalues(M, r).tobytes() for M in Ms]
+        assert steps - 2 < 64  # the sign checks of both bracket ends, then one per step
 
     @pytest.mark.parametrize("M, K, r", [(8, 4, 0.9), (60, 10, 0.5), (33, 8, 0.99)])
     def test_law_matches_dense_cholesky_oracle(self, M, K, r):
@@ -378,7 +392,7 @@ class TestExpCorrelationEigenvalues:
                 mf_sinr_from_gram(W, 1.0),
             ])
 
-        lam = exp_correlation_eigenvalues(M, r)
+        [lam] = exp_correlation_eigenvalues([M], r)
         L = np.linalg.cholesky(exp_correlation_matrix(M, CorrelationSpec(r)))
         eigenbasis = trial_stats(sample_iid(M, T * K, RngStream(51), row_power=lam))
         oracle = trial_stats(L @ sample_iid(M, T * K, RngStream(52)))
@@ -390,7 +404,7 @@ class TestExpCorrelationEigenvalues:
         # a dense R at M = 16384 alone would take 2 GiB
         tracemalloc.start()
         try:
-            sample_iid(16384, 50, RngStream(1), row_power=exp_correlation_eigenvalues(16384, 0.9))
+            sample_iid(16384, 50, RngStream(1), row_power=exp_correlation_eigenvalues([16384], 0.9)[0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -157,6 +157,18 @@ class TestAggregation:
         large = run_scenario(_scenario(trials=800)).points[0].stats["zf_snr"].stderr
         assert small / large == pytest.approx(2.0, rel=0.20)
 
+    @pytest.mark.parametrize("T", [1, 2, 3, 7, 8, 9, 10, 16, 60, 100, 129, 1000, 1001, 4097])
+    def test_column_summaries_have_the_bits_of_one_summary_per_column(self, T):
+        # the per-user MF rows of a point come from one mean and one std call
+        K = 7
+        rng = np.random.default_rng(T)
+        values = rng.standard_normal((T, K)) * np.logspace(-3, 3, K) + np.arange(K)
+        limits = [None, 1.5, *range(K - 2)]
+        batched = mc._column_summaries(values, limits)
+        assert [repr(s) for s in batched] == [repr(mc._summary(values[:, i], limits[i])) for i in range(K)]
+        if T == 1:
+            assert all(s.std == 0.0 for s in batched)
+
     def test_single_trial_has_zero_spread(self):
         s = run_scenario(_scenario(trials=1)).points[0].stats["zf_snr"]
         assert s.std == 0.0 and s.stderr == 0.0
@@ -257,10 +269,10 @@ class TestOneGramPerMatrix:
         # Gram per matrix of its stack.
         formed = 0
 
-        def spy(A, conj=None):
+        def spy(A):
             nonlocal formed
             formed += A[..., 0, 0].size
-            return gram_normalized(A, conj)
+            return gram_normalized(A)
 
         monkeypatch.setattr(mc, "gram_normalized", spy)
         run_scenario(_scenario(trials=7, **kw))
@@ -297,14 +309,14 @@ class TestDrawChoice:
         # sample_iid draw of the trial's stream with R's eigenvalues as row powers
         channels = []
 
-        def spy(A, conj=None):
+        def spy(A):
             channels.append(A.copy())
-            return gram_normalized(A, conj)
+            return gram_normalized(A)
 
         monkeypatch.setattr(mc, "gram_normalized", spy)
         run_scenario(Scenario(mode=FIXED_K, K=4, sweep=(16,), trials=2, seed=1,
                               correlation=CorrelationSpec(0.8, spacing=1.5)))
-        expected = exp_correlation_eigenvalues(16, 0.8**1.5)
+        [expected] = exp_correlation_eigenvalues([16], 0.8**1.5)
         assert [H.tobytes() for H in channels] == [
             sample_iid(16, 4, RngStream(1, t), row_power=expected).tobytes() for t in range(2)
         ]
@@ -413,8 +425,7 @@ class TestStackedKernel:
 
     def test_one_draw_alive_at_a_time(self):
         # one 16384 x 50 draw is M*K*16 bytes; a lone correlated scenario holds
-        # two per worker, the channel H and the conjugate inside a Gram, whose
-        # memory also takes the normals: no trial may hold a third
+        # two per worker, the normals and the channel H: no trial may hold a third
         M, K = 16384, 50
         s = Scenario(mode=FIXED_K, K=K, sweep=(M,), trials=6, seed=1,
                      correlation=CorrelationSpec(0.5), compute_zf=False, compute_mf=False)
@@ -524,7 +535,7 @@ class TestRunScenarios:
         # degenerate trial nor pay for its retry
         trials = 10
         pair = [_scenario(trials=trials, correlation=CorrelationSpec(rho)) for rho in (0.5, 0.9)]
-        singular_scale = mc.row_scale(exp_correlation_eigenvalues(100, 0.5))
+        singular_scale = mc.row_scale(exp_correlation_eigenvalues([100], 0.5)[0])
         local = threading.local()
         original_draw, original_scale = mc.sample_normals, mc.scale_normals
 
@@ -573,9 +584,9 @@ class TestRunScenarios:
         with pytest.raises(ConfigError, match="M > K"):
             run_scenarios([ok, infeasible])
 
-    def test_shared_correlated_pair_holds_three_draws(self):
-        # per worker: the shared normals, the channel H and the conjugate
-        # inside a Gram, one 16384 x 50 draw each
+    def test_shared_correlated_pair_holds_two_draws(self):
+        # per worker: the shared normals and the channel H, one 16384 x 50
+        # draw each; the Gram of H needs no conjugate copy of it
         M, K = 16384, 50
         pair = [Scenario(mode=FIXED_K, K=K, sweep=(M,), trials=6, seed=1,
                          correlation=CorrelationSpec(rho), compute_zf=False, compute_mf=False)
@@ -586,7 +597,7 @@ class TestRunScenarios:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * M * K * 16
+        assert peak < 2.5 * M * K * 16
 
 
 _FIG5_POINTS = dict(mode=FIXED_ALPHA, alpha=10.0, trials=13, seed=8, profile=PowerProfile(0.1, 1.0),
@@ -719,16 +730,19 @@ class TestCorrelationRank:
 
     def test_eigenvalues_once_per_antenna_count_and_correlation(self, monkeypatch):
         # fig7's two rho values at five K, and a second fig7 run on other
-        # gains that shares every (M, r) with the first
-        calls = []
+        # gains that shares every (M, r) with the first: one call per r
+        calls, bisected = 0, []
         original = mc.exp_correlation_eigenvalues
 
-        def spy(M, r):
-            calls.append((M, r))
-            return original(M, r)
+        def spy(Ms, r):
+            nonlocal calls
+            calls += 1
+            bisected.extend((M, r) for M in Ms)
+            return original(Ms, r)
 
         monkeypatch.setattr(mc, "exp_correlation_eigenvalues", spy)
         fig7 = build_preset("fig7", seed=3, trials=2)
         other_gains = [dataclasses.replace(s, profile=PowerProfile(0.5, 1.0)) for s in fig7]
         run_scenarios(fig7 + other_gains, workers=2)
-        assert len(calls) == len(set(calls)) == 2 * 5
+        assert calls == 2
+        assert len(bisected) == len(set(bisected)) == 2 * 5

@@ -74,23 +74,16 @@ class TestGramNormalized:
         imag_zero = A.real - 0j
         for X in (A, imag_zero, -0.0 * A, A.real.copy()):
             assert gram_normalized(X).tobytes() == reference(X).tobytes()
-        conj = np.empty_like(A)
-        for X in (A, imag_zero):
-            assert gram_normalized(X, conj).tobytes() == reference(X).tobytes()
-            assert conj.tobytes() == X.conj().tobytes()
 
     @pytest.mark.parametrize("m, k", [(1, 1), (5, 3), (10, 10), (100, 10), (300, 256)])
-    def test_stack_gets_the_bits_of_each_matrix(self, m, k):
-        # one call over a stack, with and without a conjugate buffer, forms
-        # the Gram each matrix gets alone, negative zeros and real input too
+    def test_stack_gets_the_bits_of_each_matrix(self, m, k, monkeypatch):
+        # one call over a stack forms the Gram each matrix gets alone from
+        # matmul, negative zeros and real input too
         A = _random_complex(m, k, seed=m * k)
-        for stack in (np.stack([A, A.real - 0j, -0.0 * A, 2 * A]), np.stack([A.real, -A.real])):
-            alone = [gram_normalized(X).tobytes() for X in stack]
-            assert [W.tobytes() for W in gram_normalized(stack)] == alone
-            if np.iscomplexobj(stack):
-                conj = np.empty_like(stack)
-                assert [W.tobytes() for W in gram_normalized(stack, conj)] == alone
-                assert conj.tobytes() == stack.conj().tobytes()
+        stacks = (np.stack([A, A.real - 0j, -0.0 * A, 2 * A]), np.stack([A.real, -A.real]))
+        grams = [[W.tobytes() for W in gram_normalized(stack)] for stack in stacks]
+        monkeypatch.setattr(numerics, "_zherk", lambda: None)  # a lone matrix on matmul too
+        assert grams == [[gram_normalized(X).tobytes() for X in stack] for stack in stacks]
 
     @given(st.integers(2, 12), st.integers(1, 12), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -98,6 +91,51 @@ class TestGramNormalized:
         W = gram_normalized(_random_complex(m, k, seed)) / float(m)
         lam = np.linalg.eigvalsh(W)
         assert lam[0] >= -1e-12 * max(1.0, lam[-1])
+
+
+def _bundles_scipy_openblas():
+    libs_dir = os.path.dirname(np.__file__) + ".libs"
+    return bool(glob.glob(os.path.join(libs_dir, "*scipy_openblas64_*")))
+
+
+class TestGramKernel:
+    """A lone complex M x K matrix gets its Gram from BLAS's zherk, with
+    matmul as the fallback and the reference."""
+
+    # fig6/fig7's M x K draws at alpha = 10, fig1's tallest, and shapes
+    # whose M is neither at most 128 nor 0 or 7 mod 8
+    SHAPES = [(50, 5), (100, 10), (200, 20), (500, 50), (1000, 100), (16384, 10), (16384, 50), (131, 5)]
+
+    @pytest.mark.parametrize("m, k", SHAPES)
+    def test_zherk_matches_matmul(self, m, k, monkeypatch):
+        A = _random_complex(m, k, seed=m + 3 * k)
+        W = gram_normalized(A)
+        assert np.array_equal(W, W.conj().T) and W.diagonal().imag.max() == 0.0
+        monkeypatch.setattr(numerics, "_zherk", lambda: None)
+        reference = gram_normalized(A)
+        assert np.abs(W - reference).max() <= 4e-16 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (5, 3), (131, 5), (500, 50), (300, 256)])
+    def test_fallback_has_the_bits_of_matmul(self, m, k, monkeypatch):
+        monkeypatch.setattr(numerics, "_zherk", lambda: None)  # as where no bundled OpenBLAS exports it
+        A = _random_complex(m, k, seed=m * k + 1)
+        B = A.conj().T @ A
+        low = np.tril(B, -1)
+        assert gram_normalized(A).tobytes() == (low + low.conj().T + np.diag(B.diagonal().real)).tobytes()
+
+    def test_reads_a_matrix_of_any_layout(self):
+        A = _random_complex(40, 6, seed=8)
+        strided = np.empty((80, 6), dtype=np.complex128)
+        strided[::2] = A
+        for X in (np.asfortranarray(A), strided[::2]):
+            assert gram_normalized(X).tobytes() == gram_normalized(A).tobytes()
+
+    def test_bundled_openblas_provides_zherk(self):
+        # guards the fast path: a numpy whose OpenBLAS stops exporting the
+        # symbol would otherwise put the Gram back on matmul unnoticed
+        if not _bundles_scipy_openblas():
+            pytest.skip("numpy bundles no scipy_openblas64_ library")
+        assert numerics._zherk() is not None
 
 
 class TestHermitianEigenvalues:
@@ -254,8 +292,7 @@ class TestTriangularInverseTrace:
     def test_bundled_openblas_provides_ztrtri(self):
         # guards the fast path: a numpy whose OpenBLAS stops exporting the
         # symbol would otherwise put ZF back on the general inverse unnoticed
-        libs_dir = os.path.dirname(np.__file__) + ".libs"
-        if not glob.glob(os.path.join(libs_dir, "*scipy_openblas64_*")):
+        if not _bundles_scipy_openblas():
             pytest.skip("numpy bundles no scipy_openblas64_ library")
         assert numerics._ztrtri() is not None
 
@@ -301,8 +338,9 @@ class TestSingleThreadedBlas:
         src = str(Path(mimo_converge.__file__).resolve().parents[1])
         probe = (
             f"import sys; sys.path.insert(0, {src!r}); import mimo_converge; "
-            "from mimo_converge.numerics import _openblas_thread_controls as c, _ztrtri; "
+            "from mimo_converge.numerics import _openblas_thread_controls as c, _zherk, _ztrtri; "
             "assert c.cache_info().currsize == 0; "
+            "assert _zherk.cache_info().currsize == 0; "
             "assert _ztrtri.cache_info().currsize == 0"
         )
         subprocess.run([sys.executable, "-c", probe], check=True, timeout=60)
