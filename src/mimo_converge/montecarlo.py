@@ -200,24 +200,13 @@ def sweep_points(scenario: Scenario) -> list[tuple[int, int]]:
     return points
 
 
-def _summary(values: np.ndarray, limit: float | None = None) -> StatSummary:
-    n = int(values.shape[0])
-    std = float(values.std(ddof=1)) if n > 1 else 0.0
-    return StatSummary(
-        mean=float(values.mean()),
-        std=std,
-        stderr=std / math.sqrt(n),
-        trials=n,
-        limit=limit,
-    )
-
-
-def _column_summaries(values: np.ndarray, limits: list[float | None]) -> list[StatSummary]:
-    """_summary of each column of a T x n array, with the limits of the
-    columns: one mean and one std call over a C-ordered n x T copy, which
-    reduce each row as _summary reduces the column alone."""
-    n = int(values.shape[0])
-    rows = np.ascontiguousarray(values.T)
+def _summaries(rows: np.ndarray, limits: list[float | None]) -> list[StatSummary]:
+    """Summary of each row of rows, an n x T array of n statistics over T
+    trials, with the limits of the rows. One mean and one std call over a
+    C-ordered copy reduce each row as a reduction of that row alone does.
+    The std is 0.0 at T = 1."""
+    rows = np.ascontiguousarray(rows)
+    n = int(rows.shape[1])
     means = rows.mean(axis=1)
     stds = rows.std(axis=1, ddof=1) if n > 1 else np.zeros(rows.shape[0])
     return [
@@ -325,18 +314,18 @@ class _Share:
             cols["diagonal_dominance"][rows] = diagonal_dominance(W)
 
     def point(self) -> SweepPoint:
-        cols, K, limits = self.cols, self.K, self.limits
-        stats = {name: _summary(cols[name], limits.get(name))
-                 for name in ("mad", "lambda_ratio", "diagonal_dominance", "zf_snr") if name in cols}
+        cols, K = self.cols, self.K
+        names = [name for name in ("mad", "lambda_ratio", "diagonal_dominance", "zf_snr") if name in cols]
+        rows = [cols[name] for name in names]
         if "mf_sinr" in cols:
-            stats["mf_sinr_mean"] = _summary(cols["mf_sinr"].mean(axis=1), limits.get("mf_sinr_mean"))
-            users = [f"mf_sinr_user_{i + 1:03d}" for i in range(K)]
-            stats.update(zip(users, _column_summaries(cols["mf_sinr"], [limits.get(u) for u in users])))
+            names += ["mf_sinr_mean", *(f"mf_sinr_user_{i + 1:03d}" for i in range(K))]
+            rows += [cols["mf_sinr"].mean(axis=1), cols["mf_sinr"].T]
+        summaries = _summaries(np.vstack(rows), [self.limits.get(name) for name in names])
         return SweepPoint(
             M=self.M,
             K=K,
             alpha=self.M / K,
-            stats=stats,
+            stats=dict(zip(names, summaries)),
             degenerate_trials=int(self.degenerate.sum()),
         )
 

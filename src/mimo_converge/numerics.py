@@ -29,6 +29,11 @@ _pin_lock = threading.Lock()
 _pin_depth = 0
 _pin_saved: list[int] = []
 
+# Smallest M K^2 whose Gram goes to zherk. Below it the ctypes call costs
+# more than the halved multiply-adds save (50 x 5 took 27 us against 20 us
+# for matmul, 1000 x 10 took 58 us against 62 us, one BLAS thread).
+_HERK_MIN_WORK = 100_000
+
 # zherk's real alpha and beta, by address: C = 1 * A A^H + 0 * C, so C is
 # written, not read. Shared by every call and thread, as zherk only reads them.
 _HERK_ALPHA = ctypes.byref(ctypes.c_double(1.0))
@@ -157,13 +162,15 @@ def gram_normalized(A: np.ndarray) -> np.ndarray:
     (..., M, K). The result is exactly Hermitian PSD with a real
     nonnegative diagonal; its dimension is the column count of A. Dividing
     it by a positive real, such as the antenna count M, keeps it exactly
-    Hermitian. A complex M x K matrix gets its lower triangle from BLAS's
-    zherk, half the multiply-adds of a full product; a stack, a real
-    matrix, or a complex one where no bundled zherk is found, gets it from
-    matmul, which gives each matrix of a stack the bits it gets alone.
-    The two products may differ in the last bit of an entry.
+    Hermitian. A complex M x K matrix with M K^2 of at least _HERK_MIN_WORK
+    gets its lower triangle from BLAS's zherk, half the multiply-adds of a
+    full product; a stack, a real matrix, a smaller complex one, or any
+    where no bundled zherk is found, gets it from matmul, which gives each
+    matrix of a stack the bits it gets alone. The two products may differ
+    in the last bit of an entry.
     """
-    herk = _zherk() if A.ndim == 2 and A.dtype == np.complex128 else None
+    tall = A.ndim == 2 and A.dtype == np.complex128 and A.shape[0] * A.shape[1] ** 2 >= _HERK_MIN_WORK
+    herk = _zherk() if tall else None
     if herk is None:
         # A.conj() of a real A is A itself, which matmul takes to syrk: keep those bits.
         B = np.matmul(A.conj().swapaxes(-1, -2), A)

@@ -1,6 +1,7 @@
 """Sweep-harness tests: reproducibility, aggregation, validation, retry."""
 
 import dataclasses
+import math
 import threading
 import tracemalloc
 
@@ -158,16 +159,19 @@ class TestAggregation:
         assert small / large == pytest.approx(2.0, rel=0.20)
 
     @pytest.mark.parametrize("T", [1, 2, 3, 7, 8, 9, 10, 16, 60, 100, 129, 1000, 1001, 4097])
-    def test_column_summaries_have_the_bits_of_one_summary_per_column(self, T):
-        # the per-user MF rows of a point come from one mean and one std call
-        K = 7
+    def test_summaries_have_the_bits_of_one_reduction_per_statistic(self, T):
+        # a point's statistics are summarised by one mean and one std call
+        # over their stacked rows; 106 rows are fig7's at K = 100
+        n = 106
         rng = np.random.default_rng(T)
-        values = rng.standard_normal((T, K)) * np.logspace(-3, 3, K) + np.arange(K)
-        limits = [None, 1.5, *range(K - 2)]
-        batched = mc._column_summaries(values, limits)
-        assert [repr(s) for s in batched] == [repr(mc._summary(values[:, i], limits[i])) for i in range(K)]
-        if T == 1:
-            assert all(s.std == 0.0 for s in batched)
+        values = rng.standard_normal((T, n)) * np.logspace(-3, 3, n) + np.arange(n)
+        limits = [None, 1.5, *range(n - 2)]
+        alone = []
+        for column, limit in zip(values.T, limits):
+            column = column.copy()
+            std = float(column.std(ddof=1)) if T > 1 else 0.0
+            alone.append(StatSummary(float(column.mean()), std, std / math.sqrt(T), T, limit))
+        assert [repr(s) for s in mc._summaries(values.T, limits)] == [repr(s) for s in alone]
 
     def test_single_trial_has_zero_spread(self):
         s = run_scenario(_scenario(trials=1)).points[0].stats["zf_snr"]

@@ -61,10 +61,13 @@ class TestGramNormalized:
         assert W.diagonal().imag.max() == 0.0
 
     @pytest.mark.parametrize("m, k", [(1, 1), (5, 3), (100, 10), (1000, 100), (300, 256)])
-    def test_bits_of_the_reference_rebuild(self, m, k):
+    def test_bits_of_the_reference_rebuild(self, m, k, monkeypatch):
         # the reference: the Gram of conj(A).T @ A rebuilt from its lower
         # triangle as low + low.conj().T + diag, also for real input, for
-        # zero imaginary parts and for negative zeros
+        # zero imaginary parts and for negative zeros; on matmul, as the
+        # reference is, since zherk may differ from it in the last bit
+        monkeypatch.setattr(numerics, "_zherk", lambda: None)
+
         def reference(A):
             B = A.conj().T @ A
             low = np.tril(B, -1)
@@ -99,8 +102,9 @@ def _bundles_scipy_openblas():
 
 
 class TestGramKernel:
-    """A lone complex M x K matrix gets its Gram from BLAS's zherk, with
-    matmul as the fallback and the reference."""
+    """A lone complex M x K matrix with M K^2 of at least _HERK_MIN_WORK
+    gets its Gram from BLAS's zherk, with matmul as the fallback and the
+    reference."""
 
     # fig6/fig7's M x K draws at alpha = 10, fig1's tallest, and shapes
     # whose M is neither at most 128 nor 0 or 7 mod 8
@@ -109,6 +113,7 @@ class TestGramKernel:
     @pytest.mark.parametrize("m, k", SHAPES)
     def test_zherk_matches_matmul(self, m, k, monkeypatch):
         A = _random_complex(m, k, seed=m + 3 * k)
+        monkeypatch.setattr(numerics, "_HERK_MIN_WORK", 0)  # zherk at the small shapes too
         W = gram_normalized(A)
         assert np.array_equal(W, W.conj().T) and W.diagonal().imag.max() == 0.0
         monkeypatch.setattr(numerics, "_zherk", lambda: None)
@@ -123,7 +128,21 @@ class TestGramKernel:
         low = np.tril(B, -1)
         assert gram_normalized(A).tobytes() == (low + low.conj().T + np.diag(B.diagonal().real)).tobytes()
 
-    def test_reads_a_matrix_of_any_layout(self):
+    @pytest.mark.parametrize(
+        "m, k, herk", [(50, 5, False), (200, 20, False), (2000, 7, False), (1000, 10, True), (500, 50, True)]
+    )
+    def test_zherk_from_the_size_threshold_on(self, m, k, herk, monkeypatch):
+        # below M K^2 = _HERK_MIN_WORK the ctypes call costs more than it saves
+        if herk and numerics._zherk() is None:
+            pytest.skip("no bundled OpenBLAS exports zherk")
+        calls = []
+        herk_lower = numerics._herk_lower
+        monkeypatch.setattr(numerics, "_herk_lower", lambda *args: calls.append(args) or herk_lower(*args))
+        gram_normalized(_random_complex(m, k, seed=k))
+        assert len(calls) == int(herk)
+
+    def test_reads_a_matrix_of_any_layout(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_HERK_MIN_WORK", 0)
         A = _random_complex(40, 6, seed=8)
         strided = np.empty((80, 6), dtype=np.complex128)
         strided[::2] = A
