@@ -131,7 +131,7 @@ class TestGramKernel:
     @pytest.mark.parametrize(
         "m, k, herk", [(50, 5, False), (200, 20, False), (2000, 7, False), (1000, 10, True), (500, 50, True)]
     )
-    def test_zherk_from_the_size_threshold_on(self, m, k, herk, monkeypatch):
+    def test_zherk_only_from_the_size_threshold(self, m, k, herk, monkeypatch):
         # below M K^2 = _HERK_MIN_WORK the ctypes call costs more than it saves
         if herk and numerics._zherk() is None:
             pytest.skip("no bundled OpenBLAS exports zherk")
