@@ -261,6 +261,9 @@ class _Share:
         # H and the gains make G differ from it.
         self.metrics_on_h = s.compute_metrics and s.gram_source == "H" and self.sqrt_beta is not None
         self.gram_of_g = s.compute_zf or s.compute_mf or not self.metrics_on_h
+        # G of a Bartlett draw is an upper-triangular factor of its Gram, which
+        # ZF inverts in place: such a share holds a G of its own until ZF has run.
+        self.zf_on_factor = bartlett and s.compute_zf
         # Allocated before any worker starts; each worker writes its own rows.
         T = s.trials
         self.cols: dict[str, np.ndarray] = {}
@@ -273,37 +276,47 @@ class _Share:
             self.cols["mf_sinr"] = np.empty((T, K))
         self.degenerate = np.zeros(T, dtype=bool)
 
-    def stacks(self, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Empty stacks of n Grams of G and of H, None where none is formed."""
+    def stacks(self, n: int) -> tuple[np.ndarray | None, np.ndarray | None, None]:
+        """Empty stacks of n Grams of G and of H, None where none is formed,
+        and no factor: an M x K channel has none."""
         shape = (n, self.K, self.K)
         return (
             np.empty(shape, dtype=np.complex128) if self.gram_of_g else None,
             np.empty(shape, dtype=np.complex128) if self.metrics_on_h else None,
+            None,
         )
 
     def grams(self, draw: np.ndarray, H: np.ndarray | None) -> tuple:
-        """The Grams of G and of H, None where none is formed, of one draw.
+        """The Grams of G and of H, None where none is formed, of one draw,
+        and the factor G that ZF inverts, None where ZF reads none.
 
         draw is the shared normals of one trial, or a stack of Bartlett
         factors, one per trial; only an H that is draw itself changes it.
         H is a buffer of the channel's shape for this scenario's channel; for
         a stack of factors it may be the stack itself, scaled in place after
-        the Gram of H has read it.
+        the Gram of H has read it. A share that inverts its factor gets an H
+        of its own, and G is returned in it.
         """
         if self.scale is not None:
             draw = scale_normals(draw, self.scale, H)
         gram_h = gram_normalized(draw) if self.metrics_on_h else None
         G = draw if self.sqrt_beta is None else np.multiply(draw, self.sqrt_beta, out=H)
         gram_g = gram_normalized(G) if self.gram_of_g else None
-        return gram_g, gram_h
+        if not self.zf_on_factor:
+            return gram_g, gram_h, None
+        if G is not H:  # G is the shared stack: ZF inverts a copy
+            H[...] = G
+        return gram_g, gram_h, H
 
-    def write(self, rows: slice, gram_g: np.ndarray | None, gram_h: np.ndarray | None) -> None:
-        """Write each statistic of the stacked Grams of rows to cols[rows]. A
+    def write(self, rows: slice, gram_g: np.ndarray | None, gram_h: np.ndarray | None,
+              factor_g: np.ndarray | None) -> None:
+        """Write each statistic of the stacked Grams of rows to cols[rows],
+        ZF's from the factors of G where given, which it inverts in place. A
         slice of a stack gets the same bits as a stack of one; one degenerate
         trial raises SingularMatrixError for the whole stack."""
         s, cols = self.scenario, self.cols
         if s.compute_zf:
-            cols["zf_snr"][rows] = zf_snr_from_gram(gram_g, s.rho_f)
+            cols["zf_snr"][rows] = zf_snr_from_gram(gram_g, s.rho_f, factor_g)
         if s.compute_mf:
             cols["mf_sinr"][rows] = mf_sinr_from_gram(gram_g, s.rho_f)
         if s.compute_metrics:
@@ -379,8 +392,10 @@ def _run_group(
     w takes every n-th stack of trials from the w-th on. A stack of
     Bartlett factors is drawn into one array, and each share forms all
     Grams of the stack in one call; the last share scales the factors by
-    its gains in place, and any other share that scales them does so into
-    a spare array. Both are freed before the statistics run. An M x K draw
+    its gains in place, any other share with ZF scales or copies them into
+    an array of its own, which ZF inverts, and any other share that scales
+    them does so into a spare array. The spare is freed before the
+    statistics run, the factors once the stack's ZF has read them. An M x K draw
     fills two buffers of the worker's own that live for the point, one
     trial at a time: the shared normals, and each share's channel H in turn.
     """
@@ -406,10 +421,16 @@ def _run_group(
                 factors = np.zeros((n, K, K), dtype=np.complex128)
                 for i, t in enumerate(trials):
                     sample_gram_factor(M, K, rng.keyed(seed, t), out=factors[i])
-                # The last share scales the factors in place, once the others have read them.
+                # The last share scales the factors in place, once the others have
+                # read them; another share whose ZF inverts them gets its own.
                 *first, last = group
-                spare = np.empty_like(factors) if any(share.sqrt_beta is not None for share in first) else None
-                return [share.grams(factors, factors if share is last else spare) for share in group]
+                spare = (np.empty_like(factors) if any(share.sqrt_beta is not None and not share.zf_on_factor
+                                                       for share in first) else None)
+                return [
+                    share.grams(factors, factors if share is last
+                                else np.empty_like(factors) if share.zf_on_factor else spare)
+                    for share in group
+                ]
             stacks = [share.stacks(n) for share in group]
             for i, t in enumerate(trials):
                 draw = sample_normals(M, K, rng.keyed(seed, t), out=normals)

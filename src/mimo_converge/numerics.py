@@ -29,9 +29,11 @@ _pin_lock = threading.Lock()
 _pin_depth = 0
 _pin_saved: list[int] = []
 
-# Smallest M K^2 whose Gram goes to zherk. Below it the ctypes call costs
-# more than the halved multiply-adds save (50 x 5 took 27 us against 20 us
-# for matmul, 1000 x 10 took 58 us against 62 us, one BLAS thread).
+# Smallest M K^2 of a matrix whose Gram goes to zherk, for a lone M x K
+# matrix and for each matrix of a stack alike: a K x K Bartlett factor from
+# K = 47 on. Below it the ctypes call costs more than the halved
+# multiply-adds save (50 x 5 took 27 us against 20 us for matmul, 1000 x 10
+# took 58 us against 62 us, one BLAS thread).
 _HERK_MIN_WORK = 100_000
 
 # zherk's real alpha and beta, by address: C = 1 * A A^H + 0 * C, so C is
@@ -162,15 +164,15 @@ def gram_normalized(A: np.ndarray) -> np.ndarray:
     (..., M, K). The result is exactly Hermitian PSD with a real
     nonnegative diagonal; its dimension is the column count of A. Dividing
     it by a positive real, such as the antenna count M, keeps it exactly
-    Hermitian. A complex M x K matrix with M K^2 of at least _HERK_MIN_WORK
-    gets its lower triangle from BLAS's zherk, half the multiply-adds of a
-    full product; a stack, a real matrix, a smaller complex one, or any
-    where no bundled zherk is found, gets it from matmul, which gives each
-    matrix of a stack the bits it gets alone. The two products may differ
-    in the last bit of an entry.
+    Hermitian. A complex A whose matrices have M K^2 of at least
+    _HERK_MIN_WORK gets each lower triangle from one call of BLAS's zherk,
+    half the multiply-adds of a full product and no conjugate copy; a real
+    A, a smaller complex one, or any where no bundled zherk is found, gets
+    it from matmul. Either way each matrix of a stack gets the bits it gets
+    alone. The two products may differ in the last bit of an entry.
     """
-    tall = A.ndim == 2 and A.dtype == np.complex128 and A.shape[0] * A.shape[1] ** 2 >= _HERK_MIN_WORK
-    herk = _zherk() if tall else None
+    M, K = A.shape[-2:]
+    herk = _zherk() if A.dtype == np.complex128 and M * K * K >= _HERK_MIN_WORK else None
     if herk is None:
         # A.conj() of a real A is A itself, which matmul takes to syrk: keep those bits.
         B = np.matmul(A.conj().swapaxes(-1, -2), A)
@@ -182,7 +184,6 @@ def gram_normalized(A: np.ndarray) -> np.ndarray:
     # Only a lower imaginary part can still be a negative zero after the
     # first sum, and the added diagonal matrix turns it positive; so does
     # adding 0.0 first.
-    K = B.shape[-1]
     diagonal = np.diagonal(B, axis1=-2, axis2=-1).real.copy()
     np.copyto(B, 0, where=_upper_and_diagonal(K))
     real = B.real
@@ -196,72 +197,85 @@ def gram_normalized(A: np.ndarray) -> np.ndarray:
 
 
 def _herk_lower(herk: Callable[..., None], A: np.ndarray) -> np.ndarray:
-    """K x K array whose lower triangle and diagonal hold those of conj(A).T @ A,
-    for a C-ordered complex128 M x K matrix A; its strict upper triangle is
-    left unwritten.
+    """Stack like A of K x K arrays whose lower triangles and diagonals hold
+    those of conj(A).T @ A, for a C-ordered complex128 stack A of M x K
+    matrices; the strict upper triangles are left unwritten.
 
-    zherk reads A's buffer column-major, as the K x M matrix A.T, and forms
-    the upper triangle of A.T @ conj(A), the conjugate of the Gram, which is
-    the Gram's lower triangle in C order. Its diagonal imaginary parts are
-    exact zeros.
+    zherk runs once per matrix. It reads A's buffer column-major, as the
+    K x M matrix A.T, and forms the upper triangle of A.T @ conj(A), the
+    conjugate of the Gram, which is the Gram's lower triangle in C order.
+    Its diagonal imaginary parts are exact zeros.
     """
-    M, K = A.shape
-    B = np.empty((K, K), dtype=np.complex128)
+    M, K = A.shape[-2:]
+    B = np.empty((*A.shape[:-2], K, K), dtype=np.complex128)
     n, k = ctypes.byref(ctypes.c_int64(K)), ctypes.byref(ctypes.c_int64(M))
-    herk(b"U", b"N", n, k, _HERK_ALPHA, A.ctypes.data, n, _HERK_BETA, B.ctypes.data, n)
+    a, b = A.ctypes.data, B.ctypes.data
+    for i in range(B.size // (K * K)):
+        herk(b"U", b"N", n, k, _HERK_ALPHA, a + 16 * M * K * i, n, _HERK_BETA, b + 16 * K * K * i, n)
     return B
 
 
-def _lower_triangular_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of each lower triangle of L, a C-ordered complex128 (..., K, K) stack.
+def _triangular_inverse(T: np.ndarray, upper: bool = False) -> np.ndarray:
+    """Inverse of each triangle of T, a C-ordered complex128 (..., K, K)
+    stack of lower triangles, or of upper ones if upper is set, whose other
+    strict triangle is zero.
 
     LAPACK's ztrtri (Du Croz and Higham, IMA J. Numer. Anal. 12, 1992)
     inverts a triangle in K^3/3 multiply-adds, against about K^3 for a
-    general inverse. It runs once per matrix, in place on L: LAPACK reads
+    general inverse. It runs once per matrix, in place on T: LAPACK reads
     that buffer column-major, as the transposed triangle, so it is told
-    the triangle is upper. Without a bundled ztrtri, numpy's general
-    inverse of the triangle runs instead. An exact zero on a diagonal
-    raises SingularMatrixError.
+    the other triangle. Without a bundled ztrtri, numpy's general inverse
+    of the triangle runs instead. An exact zero on a diagonal raises
+    SingularMatrixError.
     """
     trtri = _ztrtri()
     if trtri is None:
         try:
-            return np.linalg.inv(L)
+            return np.linalg.inv(T)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(f"triangular factor is singular: {exc}") from exc
-    K = L.shape[-1]
-    count, stride = L.size // (K * K), 16 * K * K
+    K = T.shape[-1]
+    count, stride = T.size // (K * K), 16 * K * K
     ints = np.zeros(count + 1, dtype=np.int64)  # n, then one info per matrix
     ints[0] = K
-    n, base = ints.ctypes.data, L.ctypes.data
+    n, base = ints.ctypes.data, T.ctypes.data
+    uplo = b"L" if upper else b"U"
     matrices = range(base, base + count * stride, stride)
     for a, info in zip(matrices, range(n + 8, n + 8 * (count + 1), 8)):
-        trtri(b"U", b"N", n, a, n, info)
+        trtri(uplo, b"N", n, a, n, info)
     if ints[1:].any():  # info > 0: that diagonal entry is exactly zero
         raise SingularMatrixError("triangular factor has a zero on its diagonal")
-    return L
+    return T
 
 
-def inverse_trace(W: np.ndarray) -> np.ndarray:
+def inverse_trace(W: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
     """Trace of the inverse of a Hermitian positive definite matrix.
 
     One trace per matrix of W, a matrix or a stack of shape (..., K, K).
-    Cholesky based: for W = L L^H, tr(W^{-1}) equals the squared Frobenius
-    norm of L^{-1}, and L is inverted with LAPACK's triangular inverse
-    from the OpenBLAS that numpy bundles, or with numpy's general inverse
-    where none is found. Numerically singular input is rejected through
-    the bound ||W||_1 tr(W^{-1}), which lies within a factor of the
-    dimension of the 1-norm condition number and costs nothing extra; an
-    infinite or NaN bound counts as singular too, and one such matrix
-    rejects a stack.
+    For W = U^H U with U triangular, tr(W^{-1}) equals the squared
+    Frobenius norm of U^{-1}. A caller that holds such a factor passes it
+    as factor: a C-ordered complex128 stack like W of upper triangles,
+    zero below, which is inverted in place, and no Cholesky runs. Without
+    it U^H is W's Cholesky factor. The triangle is inverted with LAPACK's
+    triangular inverse from the OpenBLAS that numpy bundles, or with
+    numpy's general inverse where none is found. Numerically singular
+    input is rejected through the bound ||W||_1 tr(W^{-1}), which lies
+    within a factor of the dimension of the 1-norm condition number and
+    costs nothing extra; an infinite or NaN bound counts as singular too,
+    and one such matrix rejects a stack.
     """
-    try:
-        L = np.ascontiguousarray(np.linalg.cholesky(W), dtype=np.complex128)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"matrix is not positive definite: {exc}") from exc
-    L_inv = _lower_triangular_inverse(L)
+    if factor is None:
+        try:
+            L = np.ascontiguousarray(np.linalg.cholesky(W), dtype=np.complex128)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"matrix is not positive definite: {exc}") from exc
+        inverse = _triangular_inverse(L)
+    else:
+        if factor.shape != W.shape:
+            raise ValueError(f"factor of shape {factor.shape} does not match W of shape {W.shape}")
+        inverse = _triangular_inverse(np.ascontiguousarray(factor, dtype=np.complex128), upper=True)
     with np.errstate(over="ignore"):
-        trace = np.sum(np.abs(L_inv) ** 2, axis=(-2, -1))
+        trace = np.sum(np.abs(inverse) ** 2, axis=(-2, -1))
         cond = np.linalg.norm(W, 1, axis=(-2, -1)) * trace
     if not np.all(cond * SINGULAR_RTOL <= 1.0):
         raise SingularMatrixError(

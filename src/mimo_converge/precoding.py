@@ -15,13 +15,15 @@ import numpy as np
 from .numerics import inverse_trace
 
 
-def zf_snr_from_gram(gram: np.ndarray, rho_f: float) -> np.ndarray:
+def zf_snr_from_gram(gram: np.ndarray, rho_f: float, factor: np.ndarray | None = None) -> np.ndarray:
     """ZF per-user SNR rho_f / tr(gram^{-1}) given the K x K column Gram of G.
 
-    The trace comes from the Cholesky factor of the Gram through LAPACK's
-    triangular inverse (numerics.inverse_trace).
+    The trace comes from LAPACK's triangular inverse of a triangular factor
+    of the Gram (numerics.inverse_trace): G itself where G is upper
+    triangular, as a gain-scaled Bartlett factor is, passed as factor and
+    inverted in place; else the Gram's Cholesky factor.
     """
-    return rho_f / inverse_trace(gram)
+    return rho_f / inverse_trace(gram, factor)
 
 
 def zf_snr_limit(rho_f: float, alpha: float, mean_inv_beta: float) -> float:

@@ -185,19 +185,22 @@ def test_bytes_independent_of_blas_threads_and_workers(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     src = str(Path(mimo_converge.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # fig5 runs the Bartlett factor (stacked zherk Grams, ZF from the
+    # factor), fig6 the M x K draw (zherk Grams, ZF from the Cholesky factor).
     mismatches = []
-    for threads in (None, "1", "2"):
-        run_env = dict(env) if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
-        for workers in ("1", "2"):
-            out = tmp_path / f"fig6_{threads}_{workers}.csv"
-            subprocess.run(
-                [sys.executable, "-c", "from mimo_converge.cli import console_main; console_main()",
-                 "--preset", "fig6", *RUN_ARGS, "--workers", workers, "--output", str(out)],
-                env=run_env, check=True, capture_output=True, timeout=300,
-            )
-            if _sha256(out) != GOLDEN_SHA256["fig6"]:
-                mismatches.append((threads, workers))
-    assert not mismatches, _off_golden(f"fig6 at (OPENBLAS_NUM_THREADS, --workers) {mismatches}")
+    for preset in ("fig5", "fig6"):
+        for threads in (None, "1", "2"):
+            run_env = dict(env) if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+            for workers in ("1", "2"):
+                out = tmp_path / f"{preset}_{threads}_{workers}.csv"
+                subprocess.run(
+                    [sys.executable, "-c", "from mimo_converge.cli import console_main; console_main()",
+                     "--preset", preset, *RUN_ARGS, "--workers", workers, "--output", str(out)],
+                    env=run_env, check=True, capture_output=True, timeout=300,
+                )
+                if _sha256(out) != GOLDEN_SHA256[preset]:
+                    mismatches.append((preset, threads, workers))
+    assert not mismatches, _off_golden(f"(preset, OPENBLAS_NUM_THREADS, --workers) {mismatches}")
 
 
 # Kernels that OPENBLAS_CORETYPE forces in place of the one OpenBLAS picks:

@@ -80,13 +80,20 @@ class TestGramNormalized:
 
     @pytest.mark.parametrize("m, k", [(1, 1), (5, 3), (10, 10), (100, 10), (300, 256)])
     def test_stack_gets_the_bits_of_each_matrix(self, m, k, monkeypatch):
-        # one call over a stack forms the Gram each matrix gets alone from
-        # matmul, negative zeros and real input too
+        # one call over a stack forms the Gram each matrix gets alone, on
+        # zherk (300 x 256) and on matmul, negative zeros and real input too
         A = _random_complex(m, k, seed=m * k)
         stacks = (np.stack([A, A.real - 0j, -0.0 * A, 2 * A]), np.stack([A.real, -A.real]))
-        grams = [[W.tobytes() for W in gram_normalized(stack)] for stack in stacks]
-        monkeypatch.setattr(numerics, "_zherk", lambda: None)  # a lone matrix on matmul too
-        assert grams == [[gram_normalized(X).tobytes() for X in stack] for stack in stacks]
+
+        def stacked_and_alone():
+            return ([[W.tobytes() for W in gram_normalized(stack)] for stack in stacks],
+                    [[gram_normalized(X).tobytes() for X in stack] for stack in stacks])
+
+        stacked, alone = stacked_and_alone()
+        assert stacked == alone
+        monkeypatch.setattr(numerics, "_zherk", lambda: None)  # matmul, as where no bundled zherk is found
+        stacked, alone = stacked_and_alone()
+        assert stacked == alone
 
     @given(st.integers(2, 12), st.integers(1, 12), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -102,9 +109,9 @@ def _bundles_scipy_openblas():
 
 
 class TestGramKernel:
-    """A lone complex M x K matrix with M K^2 of at least _HERK_MIN_WORK
-    gets its Gram from BLAS's zherk, with matmul as the fallback and the
-    reference."""
+    """A complex M x K matrix with M K^2 of at least _HERK_MIN_WORK, alone
+    or in a stack, gets its Gram from BLAS's zherk, with matmul as the
+    fallback and the reference."""
 
     # fig6/fig7's M x K draws at alpha = 10, fig1's tallest, and shapes
     # whose M is neither at most 128 nor 0 or 7 mod 8
@@ -129,17 +136,31 @@ class TestGramKernel:
         assert gram_normalized(A).tobytes() == (low + low.conj().T + np.diag(B.diagonal().real)).tobytes()
 
     @pytest.mark.parametrize(
-        "m, k, herk", [(50, 5, False), (200, 20, False), (2000, 7, False), (1000, 10, True), (500, 50, True)]
+        "shape, herk",
+        [
+            ((50, 5), False), ((200, 20), False), ((2000, 7), False), ((1000, 10), True), ((500, 50), True),
+            # stacks: Bartlett factors of K = 40 and 46 below, of K = 47 and 100 at or above
+            ((6, 40, 40), False), ((3, 46, 46), False), ((3, 47, 47), True), ((2, 1, 100, 100), True),
+            ((4, 200, 20), False), ((5, 1000, 10), True),
+        ],
     )
-    def test_zherk_only_from_the_size_threshold(self, m, k, herk, monkeypatch):
-        # below M K^2 = _HERK_MIN_WORK the ctypes call costs more than it saves
-        if herk and numerics._zherk() is None:
+    def test_zherk_only_from_the_size_threshold(self, shape, herk, monkeypatch):
+        # below M K^2 = _HERK_MIN_WORK per matrix the ctypes call costs more
+        # than it saves; from it on, a stack takes one call per matrix, and
+        # each matrix gets the bits it gets alone
+        zherk = numerics._zherk()
+        if herk and zherk is None:
             pytest.skip("no bundled OpenBLAS exports zherk")
         calls = []
-        herk_lower = numerics._herk_lower
-        monkeypatch.setattr(numerics, "_herk_lower", lambda *args: calls.append(args) or herk_lower(*args))
-        gram_normalized(_random_complex(m, k, seed=k))
-        assert len(calls) == int(herk)
+        monkeypatch.setattr(numerics, "_zherk", lambda: lambda *args: calls.append(args) or zherk(*args))
+        m, k = shape[-2:]
+        A = _random_complex(int(np.prod(shape[:-1])), k, seed=k).reshape(shape)
+        W = gram_normalized(A)
+        count = int(np.prod(shape[:-2]))
+        assert len(calls) == (count if herk else 0)
+        matrices = A.reshape(count, m, k)
+        assert [w.tobytes() for w in W.reshape(count, k, k)] == [gram_normalized(a).tobytes() for a in matrices]
+        assert len(calls) == (2 * count if herk else 0)
 
     def test_reads_a_matrix_of_any_layout(self, monkeypatch):
         monkeypatch.setattr(numerics, "_HERK_MIN_WORK", 0)
@@ -292,7 +313,7 @@ class TestTriangularInverseTrace:
         L = np.tril(np.ones((3, 4, 4), dtype=np.complex128))
         L[2, 1, 1] = 0.0
         with pytest.raises(SingularMatrixError):
-            numerics._lower_triangular_inverse(L)
+            numerics._triangular_inverse(L)
 
     @pytest.mark.parametrize("M, K, count", _STACK_SHAPES[:3])
     def test_stack_slice_bitwise_equals_single_matrix(self, M, K, count):
@@ -314,6 +335,58 @@ class TestTriangularInverseTrace:
         if not _bundles_scipy_openblas():
             pytest.skip("numpy bundles no scipy_openblas64_ library")
         assert numerics._ztrtri() is not None
+
+
+class TestFactorInverseTrace:
+    """ZF's trace from an upper-triangular factor U of W = U^H U, as a
+    gain-scaled Bartlett factor is, inverted in place with no Cholesky."""
+
+    @pytest.fixture(params=["lapack", "general"])
+    def path(self, request, monkeypatch):
+        if request.param == "general":
+            monkeypatch.setattr(numerics, "_ztrtri", lambda: None)  # as where no bundled OpenBLAS exports it
+        elif numerics._ztrtri() is None:
+            pytest.skip("no bundled OpenBLAS exports ztrtri")
+        return request.param
+
+    @pytest.mark.parametrize("M, K, count", [(50, 5, 30), (500, 50, 6), (1000, 100, 2)])
+    def test_matches_the_cholesky_path(self, M, K, count, path, monkeypatch):
+        G, W = _gram_stack(M, K, count, seed=K + 3)
+        cholesky = inverse_trace(W)
+
+        def no_cholesky(*args, **kwargs):
+            raise AssertionError("the factor path ran a Cholesky")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+        np.testing.assert_allclose(inverse_trace(W, G), cholesky, rtol=1e-13, atol=0)
+
+    def test_inverts_the_factor_in_place(self):
+        G, W = _gram_stack(200, 20, 3, seed=5)
+        U = G.copy()
+        assert inverse_trace(W, G).shape == (3,)
+        np.testing.assert_allclose(G @ U, np.broadcast_to(np.eye(20), U.shape), atol=1e-12)
+        assert not np.tril(G, -1).any()
+
+    def test_extreme_gain_ratio_raises_through_the_bound(self, path):
+        # gains 1e-300..1e-3 at K = 2, M = 3: U^-1 is finite, but
+        # ||W||_1 tr(W^-1) is about 1e297
+        sqrt_beta = np.sqrt(link_gains(2, PowerProfile(1e-300, 1e-3)))
+        G = sample_gram_factor(3, 2, RngStream(42, 0)) * sqrt_beta
+        with pytest.raises(SingularMatrixError, match="condition bound"):
+            inverse_trace(gram_normalized(G), G)
+
+    def test_factor_of_another_shape_raises(self):
+        G, W = _gram_stack(20, 4, 3, seed=2)
+        with pytest.raises(ValueError, match="does not match"):
+            inverse_trace(W, G[:2])
+
+    def test_zero_on_the_diagonal_raises(self, path):
+        # W itself is well conditioned: only the factor's triangular inverse
+        # sees the zero, through info > 0 or the general inverse's LinAlgError
+        G, W = _gram_stack(20, 4, 3, seed=9)
+        G[1, 2, 2] = 0.0  # one matrix rejects its stack
+        with pytest.raises(SingularMatrixError, match="zero on its diagonal" if path == "lapack" else "singular"):
+            inverse_trace(W, G)
 
 
 class TestSingleThreadedBlas:
