@@ -311,7 +311,7 @@ class _Share:
     def write(self, rows: slice, gram_g: np.ndarray | None, gram_h: np.ndarray | None,
               factor_g: np.ndarray | None) -> None:
         """Write each statistic of the stacked Grams of rows to cols[rows],
-        ZF's from the factors of G where given, which it inverts in place. A
+        ZF's from the factors of G where given, which it may overwrite. A
         slice of a stack gets the same bits as a stack of one; one degenerate
         trial raises SingularMatrixError for the whole stack."""
         s, cols = self.scenario, self.cols

@@ -29,11 +29,11 @@ _pin_lock = threading.Lock()
 _pin_depth = 0
 _pin_saved: list[int] = []
 
-# Smallest M K^2 of a matrix whose Gram goes to zherk, for a lone M x K
-# matrix and for each matrix of a stack alike: a K x K Bartlett factor from
-# K = 47 on. Below it the ctypes call costs more than the halved
-# multiply-adds save (50 x 5 took 27 us against 20 us for matmul, 1000 x 10
-# took 58 us against 62 us, one BLAS thread).
+# Smallest M K^2 of a lone M x K matrix whose Gram goes to zherk. Below it
+# the ctypes call costs more than the halved multiply-adds save (50 x 5
+# took 27 us against 20 us for matmul, 1000 x 10 took 58 us against 62 us,
+# one BLAS thread). A stack keeps its one batched matmul: that crossover
+# was measured for lone matrices only, which each pay a call of their own.
 _HERK_MIN_WORK = 100_000
 
 # zherk's real alpha and beta, by address: C = 1 * A A^H + 0 * C, so C is
@@ -164,15 +164,15 @@ def gram_normalized(A: np.ndarray) -> np.ndarray:
     (..., M, K). The result is exactly Hermitian PSD with a real
     nonnegative diagonal; its dimension is the column count of A. Dividing
     it by a positive real, such as the antenna count M, keeps it exactly
-    Hermitian. A complex A whose matrices have M K^2 of at least
-    _HERK_MIN_WORK gets each lower triangle from one call of BLAS's zherk,
-    half the multiply-adds of a full product and no conjugate copy; a real
-    A, a smaller complex one, or any where no bundled zherk is found, gets
-    it from matmul. Either way each matrix of a stack gets the bits it gets
-    alone. The two products may differ in the last bit of an entry.
+    Hermitian. A complex M x K matrix with M K^2 of at least _HERK_MIN_WORK
+    gets its lower triangle from BLAS's zherk, half the multiply-adds of a
+    full product; a stack, a real matrix, a smaller complex one, or any
+    where no bundled zherk is found, gets it from matmul, which gives each
+    matrix of a stack the bits it gets alone. The two products may differ
+    in the last bit of an entry.
     """
-    M, K = A.shape[-2:]
-    herk = _zherk() if A.dtype == np.complex128 and M * K * K >= _HERK_MIN_WORK else None
+    tall = A.ndim == 2 and A.dtype == np.complex128 and A.shape[0] * A.shape[1] ** 2 >= _HERK_MIN_WORK
+    herk = _zherk() if tall else None
     if herk is None:
         # A.conj() of a real A is A itself, which matmul takes to syrk: keep those bits.
         B = np.matmul(A.conj().swapaxes(-1, -2), A)
@@ -184,6 +184,7 @@ def gram_normalized(A: np.ndarray) -> np.ndarray:
     # Only a lower imaginary part can still be a negative zero after the
     # first sum, and the added diagonal matrix turns it positive; so does
     # adding 0.0 first.
+    K = B.shape[-1]
     diagonal = np.diagonal(B, axis1=-2, axis2=-1).real.copy()
     np.copyto(B, 0, where=_upper_and_diagonal(K))
     real = B.real
@@ -197,21 +198,19 @@ def gram_normalized(A: np.ndarray) -> np.ndarray:
 
 
 def _herk_lower(herk: Callable[..., None], A: np.ndarray) -> np.ndarray:
-    """Stack like A of K x K arrays whose lower triangles and diagonals hold
-    those of conj(A).T @ A, for a C-ordered complex128 stack A of M x K
-    matrices; the strict upper triangles are left unwritten.
+    """K x K array whose lower triangle and diagonal hold those of conj(A).T @ A,
+    for a C-ordered complex128 M x K matrix A; its strict upper triangle is
+    left unwritten.
 
-    zherk runs once per matrix. It reads A's buffer column-major, as the
-    K x M matrix A.T, and forms the upper triangle of A.T @ conj(A), the
-    conjugate of the Gram, which is the Gram's lower triangle in C order.
-    Its diagonal imaginary parts are exact zeros.
+    zherk reads A's buffer column-major, as the K x M matrix A.T, and forms
+    the upper triangle of A.T @ conj(A), the conjugate of the Gram, which is
+    the Gram's lower triangle in C order. Its diagonal imaginary parts are
+    exact zeros.
     """
-    M, K = A.shape[-2:]
-    B = np.empty((*A.shape[:-2], K, K), dtype=np.complex128)
+    M, K = A.shape
+    B = np.empty((K, K), dtype=np.complex128)
     n, k = ctypes.byref(ctypes.c_int64(K)), ctypes.byref(ctypes.c_int64(M))
-    a, b = A.ctypes.data, B.ctypes.data
-    for i in range(B.size // (K * K)):
-        herk(b"U", b"N", n, k, _HERK_ALPHA, a + 16 * M * K * i, n, _HERK_BETA, b + 16 * K * K * i, n)
+    herk(b"U", b"N", n, k, _HERK_ALPHA, A.ctypes.data, n, _HERK_BETA, B.ctypes.data, n)
     return B
 
 
@@ -255,7 +254,8 @@ def inverse_trace(W: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray
     For W = U^H U with U triangular, tr(W^{-1}) equals the squared
     Frobenius norm of U^{-1}. A caller that holds such a factor passes it
     as factor: a C-ordered complex128 stack like W of upper triangles,
-    zero below, which is inverted in place, and no Cholesky runs. Without
+    zero below, and no Cholesky runs; the factor is inverted in place
+    where ztrtri runs, and may be left unchanged on the fallback. Without
     it U^H is W's Cholesky factor. The triangle is inverted with LAPACK's
     triangular inverse from the OpenBLAS that numpy bundles, or with
     numpy's general inverse where none is found. Numerically singular

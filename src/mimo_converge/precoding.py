@@ -20,8 +20,8 @@ def zf_snr_from_gram(gram: np.ndarray, rho_f: float, factor: np.ndarray | None =
 
     The trace comes from LAPACK's triangular inverse of a triangular factor
     of the Gram (numerics.inverse_trace): G itself where G is upper
-    triangular, as a gain-scaled Bartlett factor is, passed as factor and
-    inverted in place; else the Gram's Cholesky factor.
+    triangular, as a gain-scaled Bartlett factor is, passed as factor,
+    which the inverse may overwrite; else the Gram's Cholesky factor.
     """
     return rho_f / inverse_trace(gram, factor)
 
