@@ -7,9 +7,10 @@ the enabled statistics (channel convergence metrics, ZF SNR, MF SINR) are
 aggregated into means with standard errors. Results are bit-reproducible
 for a fixed (scenario, seed) regardless of worker count: trial t always
 uses stream t, its values land in slot t, and the reduction runs over the
-trial-ordered arrays. The scenarios of one run share each trial's draw
-wherever they visit the same point with the same seed, trial count and
-kind of draw, which leaves every scenario's bits as they are alone.
+trial-ordered arrays. The scenarios of one run share each trial's M x K
+normals wherever they visit the same point with the same seed and trial
+count, which leaves every scenario's bits as they are alone; a Bartlett
+factor is drawn for one scenario only.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ class _Share:
         self.metrics_on_h = s.compute_metrics and s.gram_source == "H" and self.sqrt_beta is not None
         self.gram_of_g = s.compute_zf or s.compute_mf or not self.metrics_on_h
         # G of a Bartlett draw is an upper-triangular factor of its Gram, which
-        # ZF inverts in place: such a share holds a G of its own until ZF has run.
+        # ZF inverts in place.
         self.zf_on_factor = bartlett and s.compute_zf
         # Allocated before any worker starts; each worker writes its own rows.
         T = s.trials
@@ -290,23 +291,18 @@ class _Share:
         """The Grams of G and of H, None where none is formed, of one draw,
         and the factor G that ZF inverts, None where ZF reads none.
 
-        draw is the shared normals of one trial, or a stack of Bartlett
-        factors, one per trial; only an H that is draw itself changes it.
+        draw is the shared normals of one trial, which it leaves as they
+        are, or this scenario's own stack of Bartlett factors, one per trial.
         H is a buffer of the channel's shape for this scenario's channel; for
-        a stack of factors it may be the stack itself, scaled in place after
-        the Gram of H has read it. A share that inverts its factor gets an H
-        of its own, and G is returned in it.
+        a stack of factors it is the stack itself, scaled in place after the
+        Gram of H has read it, and ZF inverts G in place after that.
         """
         if self.scale is not None:
             draw = scale_normals(draw, self.scale, H)
         gram_h = gram_normalized(draw) if self.metrics_on_h else None
         G = draw if self.sqrt_beta is None else np.multiply(draw, self.sqrt_beta, out=H)
         gram_g = gram_normalized(G) if self.gram_of_g else None
-        if not self.zf_on_factor:
-            return gram_g, gram_h, None
-        if G is not H:  # G is the shared stack: ZF inverts a copy
-            H[...] = G
-        return gram_g, gram_h, H
+        return gram_g, gram_h, G if self.zf_on_factor else None
 
     def write(self, rows: slice, gram_g: np.ndarray | None, gram_h: np.ndarray | None,
               factor_g: np.ndarray | None) -> None:
@@ -389,15 +385,12 @@ def _run_group(
     """Run the T trials of one group point, each drawn once for all shares.
 
     Trial t is drawn on stream t. _point_workers picks n workers, and worker
-    w takes every n-th stack of trials from the w-th on. A stack of
-    Bartlett factors is drawn into one array, and each share forms all
-    Grams of the stack in one call; the last share scales the factors by
-    its gains in place, any other share with ZF scales or copies them into
-    an array of its own, which ZF inverts, and any other share that scales
-    them does so into a spare array. The spare is freed before the
-    statistics run, the factors once the stack's ZF has read them. An M x K draw
-    fills two buffers of the worker's own that live for the point, one
-    trial at a time: the shared normals, and each share's channel H in turn.
+    w takes every n-th stack of trials from the w-th on. A Bartlett group
+    has one share: a stack of its factors is drawn into one array, which
+    the share scales by its gains in place and ZF inverts in place, and all
+    Grams of the stack come from one call. An M x K draw fills two buffers
+    of the worker's own that live for the point, one trial at a time: the
+    shared normals, and each share's channel H in turn.
     """
     M, K = shares[0].M, shares[0].K
     metrics = any(share.scenario.compute_metrics for share in shares)
@@ -421,16 +414,8 @@ def _run_group(
                 factors = np.zeros((n, K, K), dtype=np.complex128)
                 for i, t in enumerate(trials):
                     sample_gram_factor(M, K, rng.keyed(seed, t), out=factors[i])
-                # The last share scales the factors in place, once the others have
-                # read them; another share whose ZF inverts them gets its own.
-                *first, last = group
-                spare = (np.empty_like(factors) if any(share.sqrt_beta is not None and not share.zf_on_factor
-                                                       for share in first) else None)
-                return [
-                    share.grams(factors, factors if share is last
-                                else np.empty_like(factors) if share.zf_on_factor else spare)
-                    for share in group
-                ]
+                (share,) = group
+                return [share.grams(factors, factors)]
             stacks = [share.stacks(n) for share in group]
             for i, t in enumerate(trials):
                 draw = sample_normals(M, K, rng.keyed(seed, t), out=normals)
@@ -501,12 +486,13 @@ def _row_powers(scenarios: list[Scenario], grids: list[list[tuple[int, int]]]) -
 def run_scenarios(scenarios: list[Scenario], workers: int = 1) -> list[SweepResult]:
     """Run the scenarios of one run together, point by point.
 
-    Every scenario is validated before the first trial. Scenarios that visit
-    the same (M, K) with equal seed and trials and the same kind of draw,
-    the Bartlett factor or the M x K normals, form a group there, and each
-    trial of a group is drawn once: every scenario then applies its own row
-    scale, gains and Grams. Statistics, limits and the degenerate retry stay
-    per scenario, so each result equals run_scenario's for its scenario.
+    Every scenario is validated before the first trial. Scenarios that draw
+    the M x K normals at the same (M, K) with equal seed and trials form a
+    group there, and each trial of a group is drawn once: every scenario
+    then applies its own row scale, gains and Grams. A scenario's Bartlett
+    point is a group of its own, since its factors are scaled and inverted
+    in place. Statistics, limits and the degenerate retry stay per
+    scenario, so each result equals run_scenario's for its scenario.
     """
     grids = [sweep_points(s) for s in scenarios]
     limits = [[_limits(s, M, K) for M, K in grid] for s, grid in zip(scenarios, grids)]
@@ -514,14 +500,15 @@ def run_scenarios(scenarios: list[Scenario], workers: int = 1) -> list[SweepResu
     groups: dict[tuple, list[tuple[int, int]]] = {}
     for i, (s, grid) in enumerate(zip(scenarios, grids)):
         for j, (M, K) in enumerate(grid):
-            key = (M, K, int(s.seed), int(s.trials), _draws_bartlett(s, M, K))
+            bartlett = _draws_bartlett(s, M, K)
+            key = (M, K, int(s.seed), int(s.trials), bartlett, i if bartlett else None)
             groups.setdefault(key, []).append((i, j))
     points: list[list] = [[None] * len(grid) for grid in grids]
     # A point runs no more workers than it has trials.
     workers = min(max(1, workers), max((s.trials for s in scenarios), default=1))
     states = [RngStream(0) for _ in range(workers)]
     with single_threaded_blas(), ThreadPoolExecutor(max_workers=len(states)) as pool:
-        for (M, K, seed, T, bartlett), members in groups.items():
+        for (M, K, seed, T, bartlett, _), members in groups.items():
             shares = [_Share(scenarios[i], M, K, bartlett, row_powers[i][j], limits[i][j]) for i, j in members]
             _run_group(shares, seed, T, bartlett, states, pool)
             for (i, j), share in zip(members, shares):

@@ -66,19 +66,23 @@ def _openblas_libraries() -> tuple[ctypes.CDLL, ...]:
     return tuple(libs)
 
 
+def _openblas_functions(name: str, argtypes: list, restype=None) -> tuple[Callable[..., object], ...]:
+    """Function `name` of each bundled OpenBLAS that exports it, bound with
+    argtypes and restype; empty where none does."""
+    functions = []
+    for lib in _openblas_libraries():
+        function = getattr(lib, name, None)
+        if function is not None:
+            function.argtypes, function.restype = argtypes, restype
+            functions.append(function)
+    return tuple(functions)
+
+
 @functools.cache
 def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
     """(get, set) thread-count functions of each bundled OpenBLAS."""
-    controls = []
-    for lib in _openblas_libraries():
-        get_threads = lib.scipy_openblas_get_num_threads64_
-        set_threads = lib.scipy_openblas_set_num_threads64_
-        get_threads.argtypes = []
-        get_threads.restype = ctypes.c_int
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = None
-        controls.append((get_threads, set_threads))
-    return tuple(controls)
+    return tuple(zip(_openblas_functions("scipy_openblas_get_num_threads64_", [], ctypes.c_int),
+                     _openblas_functions("scipy_openblas_set_num_threads64_", [ctypes.c_int])))
 
 
 @functools.cache
@@ -90,15 +94,8 @@ def _ztrtri() -> Callable[..., None] | None:
     lda, info), every argument by address. ctypes releases the GIL during
     the call.
     """
-    for lib in _openblas_libraries():
-        try:
-            trtri = lib.scipy_ztrtri_64_
-        except AttributeError:
-            continue
-        trtri.argtypes = [ctypes.c_char_p, ctypes.c_char_p] + [ctypes.c_void_p] * 4
-        trtri.restype = None
-        return trtri
-    return None
+    argtypes = [ctypes.c_char_p, ctypes.c_char_p] + [ctypes.c_void_p] * 4
+    return next(iter(_openblas_functions("scipy_ztrtri_64_", argtypes)), None)
 
 
 @functools.cache
@@ -110,16 +107,9 @@ def _zherk() -> Callable[..., None] | None:
     alpha, a, lda, beta, c, ldc), every argument by address, alpha and
     beta real. ctypes releases the GIL during the call.
     """
-    for lib in _openblas_libraries():
-        try:
-            herk = lib.scipy_zherk_64_
-        except AttributeError:
-            continue
-        int_p, real_p, array_p = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
-        herk.argtypes = [ctypes.c_char_p, ctypes.c_char_p, int_p, int_p, real_p, array_p, int_p, real_p, array_p, int_p]
-        herk.restype = None
-        return herk
-    return None
+    int_p, real_p, array_p = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
+    argtypes = [ctypes.c_char_p, ctypes.c_char_p, int_p, int_p, real_p, array_p, int_p, real_p, array_p, int_p]
+    return next(iter(_openblas_functions("scipy_zherk_64_", argtypes)), None)
 
 
 @contextmanager

@@ -6,6 +6,8 @@ the two steps of that draw, and serves the tests as the oracle the
 harness's channels and Grams are checked against. correlation_eigenvalues
 bisects the eigenvalues of one antenna count for a fixed 64 steps, the
 oracle of the bits of the grouped bisection that stops early.
+marchenko_pastur_edge_ratio is the large-system limit of the eigenvalue
+ratio, against which the metrics' rate of convergence is measured.
 """
 
 import numpy as np
@@ -46,3 +48,16 @@ def correlation_eigenvalues(M: int, r: float) -> np.ndarray:
         below = excess(mid) < 0
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return (1 - r) * (1 + r) / ((1 - r) ** 2 + 4 * r * np.sin(0.25 * (lo + hi)) ** 2)
+
+
+def marchenko_pastur_edge_ratio(alpha: float) -> float:
+    """Limit of the largest-to-smallest eigenvalue ratio of W = H^H H / M for
+    an iid M x K H as M, K grow with M / K = alpha > 1: the ratio of the
+    edges (1 + alpha^-1/2)^2 and (1 - alpha^-1/2)^2 of the Marchenko-Pastur
+    law (Marchenko & Pastur, Math. USSR-Sbornik 1(4), 1967; Bai &
+    Silverstein, Spectral Analysis of Large Dimensional Random Matrices,
+    Springer 2010)."""
+    if not alpha > 1.0:
+        raise ValueError(f"need alpha > 1, got {alpha}")
+    root = alpha**-0.5
+    return ((1 + root) / (1 - root)) ** 2

@@ -484,8 +484,8 @@ SHARED_RUNS = {
         Scenario(**_METRICS_GRID, gram_source="G", compute_zf=False, compute_mf=False),
         Scenario(**{**_METRICS_GRID, "correlation": CorrelationSpec(0.9)}, gram_source="G"),
     ], 2 * 9),
-    # one stack of Bartlett factors for all three: the last share scales it
-    # in place, the others into a spare array, and none sees another's gains
+    # a stack of Bartlett factors for each of the three: each scales its own
+    # in place, and none sees another's gains
     "factor-stack-gains-scaled-in-place": ([
         Scenario(**_BARTLETT_GRID, profile=PowerProfile(0.2, 1.0)),
         Scenario(**_BARTLETT_GRID),
@@ -499,17 +499,36 @@ SHARED_RUNS = {
 }
 
 
-def _count_normals(monkeypatch):
-    """Count the raw M x K draws the harness makes."""
+# How many Bartlett factors (sample_gram_factor calls) each of those runs
+# draws: one per trial per scenario, as no two scenarios share a stack.
+FACTOR_DRAWS = {
+    "fig6": 0,
+    "fig7": 0,
+    "correlated-and-iid": 2 * 9,  # the uncorrelated one at M = 8 and 24
+    "unequal-seeds": 0,
+    "unequal-trials": 0,
+    "metrics-gram-H-and-G": 0,
+    "factor-stack-gains-scaled-in-place": 3 * 3 * 9,
+    "factor-stack-gains-scaled-aside": 3 * 3 * 9,
+}
+
+
+def _count_draws(monkeypatch, name):
+    """Count the harness's calls of its draw function name, by stream."""
     streams = []
-    original = mc.sample_normals
+    original = getattr(mc, name)
 
     def spy(M, K, rng, out=None):
         streams.append(rng.stream)
         return original(M, K, rng, out=out)
 
-    monkeypatch.setattr(mc, "sample_normals", spy)
+    monkeypatch.setattr(mc, name, spy)
     return streams
+
+
+def _count_normals(monkeypatch):
+    """Count the raw M x K draws the harness makes."""
+    return _count_draws(monkeypatch, "sample_normals")
 
 
 class TestRunScenarios:
@@ -532,6 +551,19 @@ class TestRunScenarios:
         streams = _count_normals(monkeypatch)
         run_scenarios(scenarios, workers=2)
         assert len(streams) == draws
+
+    @pytest.mark.parametrize("run", sorted(SHARED_RUNS))
+    def test_one_factor_draw_per_trial_per_scenario(self, run, monkeypatch):
+        # a stack of Bartlett factors is scaled and inverted in place, so
+        # each scenario draws its own, as many as it draws alone
+        scenarios, _ = SHARED_RUNS[run]
+        streams = _count_draws(monkeypatch, "sample_gram_factor")
+        for s in scenarios:
+            run_scenario(s, workers=2)
+        assert len(streams) == FACTOR_DRAWS[run]
+        streams.clear()
+        run_scenarios(scenarios, workers=2)
+        assert len(streams) == FACTOR_DRAWS[run]
 
     def test_retry_stays_with_its_scenario(self, monkeypatch):
         # a zero column in rho = 0.5's channel of trial 2 makes its Gram
