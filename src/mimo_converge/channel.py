@@ -139,7 +139,8 @@ def exp_correlation_eigenvalues(Ms: Sequence[int], r: float) -> list[np.ndarray]
     (M + 1) pi, so theta_k solves phi(theta) = k pi. Every root of every M
     is bisected inside its bracket, all in one array, and every bracket
     must change sign: M disjoint brackets give M distinct eigenvalues,
-    largest first. Each root gets the bits it gets alone.
+    largest first. Each root gets the bits it gets alone. The sweep
+    harness makes one call per correlated scenario, for all its M.
     """
     if not (len(Ms) > 0 and min(Ms) >= 1 and 0.0 < r < 1.0):
         raise ValueError(f"need antenna counts M >= 1 and 0 < r < 1, got M={list(Ms)}, r={r}")

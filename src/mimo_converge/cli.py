@@ -194,8 +194,6 @@ def parse_config(argv=None) -> RunConfig:
     workers = opt.pop("workers", None)
     if workers is None:
         workers = _default_workers()
-    if workers < 1:
-        raise ConfigError(f"workers must be positive, got {workers}")
     fmt = opt.pop("format", "csv")
     output = Path(opt.pop("output", f"results.{fmt}"))
 

@@ -245,7 +245,7 @@ class _Share:
     """One scenario's part of a group point: how it turns the shared draw into
     its Grams, its per-trial columns and its degenerate trials."""
 
-    def __init__(self, scenario: Scenario, M: int, K: int, bartlett: bool,
+    def __init__(self, scenario: Scenario, bartlett: bool, M: int, K: int,
                  row_power: np.ndarray | None, limits: dict[str, float]):
         s = self.scenario = scenario
         self.M, self.K = M, K
@@ -449,44 +449,36 @@ def _run_group(
         list(pool.map(run_worker, range(workers)))
 
 
-def _row_powers(scenarios: list[Scenario], grids: list[list[tuple[int, int]]]) -> list[list]:
-    """Row powers of each scenario's M x K draw at each point: the
-    eigenvalues of its correlation R, or None without correlation. One
-    bisection per distinct r of the run works them out for every M at
-    which a scenario with that r draws.
+def _plan(scenario: Scenario) -> list[tuple[int, int, np.ndarray | None, dict[str, float]]]:
+    """Validate a scenario and work out (M, K, row powers, limits) for each of
+    its points before the first trial. The row powers of its M x K draw are
+    the eigenvalues of its correlation R, from one bisection for all its M,
+    or None without correlation.
 
-    Raises ConfigError before the first trial where ZF or the metrics are
-    on and fewer than K eigenvalues of R lie above SINGULAR_RTOL times the
-    largest: every Gram would then be numerically singular.
+    Raises ConfigError where ZF or the metrics are on and fewer than K
+    eigenvalues of R lie above SINGULAR_RTOL times the largest: every Gram
+    would then be numerically singular.
     """
-    rs = [0.0 if s.correlation is None else s.correlation.r for s in scenarios]
-    antennas: dict[float, set[int]] = {}
-    for r, grid in zip(rs, grids):
-        if r != 0.0:
-            antennas.setdefault(r, set()).update(M for M, _ in grid)
-    eigenvalues: dict[tuple[int, float], np.ndarray] = {}
-    for r, Ms in antennas.items():
-        Ms = sorted(Ms)
-        eigenvalues.update(((M, r), lam) for M, lam in zip(Ms, exp_correlation_eigenvalues(Ms, r)))
-    powers = []
-    for s, r, grid in zip(scenarios, rs, grids):
-        powers.append([None] * len(grid))
-        if r == 0.0:
-            continue
-        for j, (M, K) in enumerate(grid):
-            lam = powers[-1][j] = eigenvalues[(M, r)]
-            if (s.compute_zf or s.compute_metrics) and np.count_nonzero(lam > SINGULAR_RTOL * lam.max()) < K:
-                raise ConfigError(
-                    f"correlation rho ** spacing = {r!r} leaves R fewer than K = {K} eigenvalues above "
-                    f"{SINGULAR_RTOL} times the largest at M = {M}; ZF and the metrics need K"
-                )
-    return powers
+    s, grid = scenario, sweep_points(scenario)
+    limits = [_limits(s, M, K) for M, K in grid]
+    r = 0.0 if s.correlation is None else s.correlation.r
+    powers = [None] * len(grid) if r == 0.0 else exp_correlation_eigenvalues([M for M, _ in grid], r)
+    for (M, K), lam in zip(grid, powers):
+        if (lam is not None and (s.compute_zf or s.compute_metrics)
+                and np.count_nonzero(lam > SINGULAR_RTOL * lam.max()) < K):
+            raise ConfigError(
+                f"correlation rho ** spacing = {r!r} leaves R fewer than K = {K} eigenvalues above "
+                f"{SINGULAR_RTOL} times the largest at M = {M}; ZF and the metrics need K"
+            )
+    return [(M, K, lam, lim) for (M, K), lam, lim in zip(grid, powers, limits)]
 
 
 def run_scenarios(scenarios: list[Scenario], workers: int = 1) -> list[SweepResult]:
     """Run the scenarios of one run together, point by point.
 
-    Every scenario is validated before the first trial. Scenarios that draw
+    workers, a positive integer, and every scenario are validated before
+    the first trial, and every scenario is planned then: R's eigenvalues
+    come from one bisection per correlated scenario. Scenarios that draw
     the M x K normals at the same (M, K) with equal seed and trials form a
     group there, and each trial of a group is drawn once: every scenario
     then applies its own row scale, gains and Grams. A scenario's Bartlett
@@ -494,22 +486,26 @@ def run_scenarios(scenarios: list[Scenario], workers: int = 1) -> list[SweepResu
     in place. Statistics, limits and the degenerate retry stay per
     scenario, so each result equals run_scenario's for its scenario.
     """
-    grids = [sweep_points(s) for s in scenarios]
-    limits = [[_limits(s, M, K) for M, K in grid] for s, grid in zip(scenarios, grids)]
-    row_powers = _row_powers(scenarios, grids)
+    try:
+        operator.index(workers)
+    except TypeError:
+        raise ConfigError(f"workers must be an integer, got {workers!r}") from None
+    if workers < 1:
+        raise ConfigError(f"workers must be positive, got {workers}")
+    plans = [_plan(s) for s in scenarios]
     groups: dict[tuple, list[tuple[int, int]]] = {}
-    for i, (s, grid) in enumerate(zip(scenarios, grids)):
-        for j, (M, K) in enumerate(grid):
+    for i, (s, plan) in enumerate(zip(scenarios, plans)):
+        for j, (M, K, _, _) in enumerate(plan):
             bartlett = _draws_bartlett(s, M, K)
             key = (M, K, int(s.seed), int(s.trials), bartlett, i if bartlett else None)
             groups.setdefault(key, []).append((i, j))
-    points: list[list] = [[None] * len(grid) for grid in grids]
+    points: list[list] = [[None] * len(plan) for plan in plans]
     # A point runs no more workers than it has trials.
-    workers = min(max(1, workers), max((s.trials for s in scenarios), default=1))
+    workers = min(workers, max((s.trials for s in scenarios), default=1))
     states = [RngStream(0) for _ in range(workers)]
     with single_threaded_blas(), ThreadPoolExecutor(max_workers=len(states)) as pool:
         for (M, K, seed, T, bartlett, _), members in groups.items():
-            shares = [_Share(scenarios[i], M, K, bartlett, row_powers[i][j], limits[i][j]) for i, j in members]
+            shares = [_Share(scenarios[i], bartlett, *plans[i][j]) for i, j in members]
             _run_group(shares, seed, T, bartlett, states, pool)
             for (i, j), share in zip(members, shares):
                 points[i][j] = share.point()

@@ -539,6 +539,15 @@ class TestMainExitCodes:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_workers_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # run_scenarios checks workers, before the first trial
+        _forbid_trials(monkeypatch)
+        out = tmp_path / "r.csv"
+        code = main([*_FIXED_K, "--workers", "0", "--trials", "2", "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert "workers must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("output", ["", ".", "nodir/x.csv"], ids=["empty", "directory", "missing-parent"])
     def test_unwritable_output_fails_before_trials(self, output, tmp_path, monkeypatch, capsys):
         _forbid_trials(monkeypatch)

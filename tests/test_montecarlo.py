@@ -42,6 +42,17 @@ def _scenario(**kw):
 
 _FIXED_K_BASE = dict(mode=FIXED_K, K=4, sweep=(16,), trials=3, seed=1)
 
+# 0.999999 ** 1e-10 is 1 - 2**-53: R keeps one eigenvalue above the tolerance
+_RANK_ONE = CorrelationSpec(0.999999, spacing=1e-10)
+
+
+def _forbid_draws(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a trial ran before the configuration was rejected")
+
+    for name in ("sample_normals", "sample_gram_factor"):
+        monkeypatch.setattr(mc, name, no_draw)
+
 
 class TestSweepPoints:
     def test_fixed_k_points(self):
@@ -609,16 +620,22 @@ class TestRunScenarios:
         run_scenarios([_scenario(trials=2)], workers=1000)
         assert 1 <= len(built) <= 2
 
-    def test_infeasible_scenario_rejected_before_any_draw(self, monkeypatch):
-        def no_draw(*args, **kwargs):
-            raise AssertionError("a trial ran before the configuration was rejected")
-
-        for name in ("sample_normals", "sample_gram_factor"):
-            monkeypatch.setattr(mc, name, no_draw)
+    @pytest.mark.parametrize("change, message", [
+        (dict(alpha=0.5), "M > K"),  # M < K with ZF on
+        (dict(sweep=(5,), correlation=_RANK_ONE), "fewer than K = 5 eigenvalues"),
+    ], ids=["sweep-infeasible", "rank-deficient"])
+    def test_infeasible_scenario_rejected_before_any_draw(self, change, message, monkeypatch):
+        # the second scenario fails its plan only after the first is planned
+        _forbid_draws(monkeypatch)
         ok = _scenario(trials=3, correlation=CorrelationSpec(0.5))
-        infeasible = dataclasses.replace(ok, alpha=0.5)  # M < K with ZF on
-        with pytest.raises(ConfigError, match="M > K"):
-            run_scenarios([ok, infeasible])
+        with pytest.raises(ConfigError, match=message):
+            run_scenarios([ok, dataclasses.replace(ok, **change)])
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.5])
+    def test_invalid_workers_rejected_before_any_draw(self, workers, monkeypatch):
+        _forbid_draws(monkeypatch)
+        with pytest.raises(ConfigError, match="workers must be"):
+            run_scenario(_scenario(trials=3), workers=workers)
 
     def test_shared_correlated_pair_holds_two_draws(self):
         # per worker: the shared normals and the channel H, one 16384 x 50
@@ -750,35 +767,31 @@ class TestCorrelationRank:
                                        dict(compute_zf=False, compute_mf=False)],
                              ids=["zf", "metrics"])
     def test_rank_deficient_correlation_rejected_before_any_draw(self, stats, monkeypatch):
-        # rho ** spacing = 1 - 2**-53 leaves R one eigenvalue above the tolerance
-        def no_draw(*args, **kwargs):
-            raise AssertionError("a trial ran before the configuration was rejected")
-
-        monkeypatch.setattr(mc, "sample_normals", no_draw)
-        s = _scenario(sweep=(5,), trials=3, correlation=CorrelationSpec(0.999999, spacing=1e-10), **stats)
+        _forbid_draws(monkeypatch)
+        s = _scenario(sweep=(5,), trials=3, correlation=_RANK_ONE, **stats)
         with pytest.raises(ConfigError, match="fewer than K = 5 eigenvalues"):
             run_scenario(s)
 
     def test_mf_alone_runs_on_a_rank_deficient_correlation(self):
-        s = _scenario(sweep=(5,), trials=3, correlation=CorrelationSpec(0.999999, spacing=1e-10),
-                      compute_zf=False, compute_metrics=False)
+        s = _scenario(sweep=(5,), trials=3, correlation=_RANK_ONE, compute_zf=False, compute_metrics=False)
         assert run_scenario(s).points[0].stats["mf_sinr_mean"].trials == 3
 
-    def test_eigenvalues_once_per_antenna_count_and_correlation(self, monkeypatch):
-        # fig7's two rho values at five K, and a second fig7 run on other
-        # gains that shares every (M, r) with the first: one call per r
-        calls, bisected = 0, []
+    def test_eigenvalues_once_per_correlated_scenario(self, monkeypatch):
+        # fig7's two rho values at five K each: one bisection per scenario for
+        # all its M, also beside a copy of fig7 on other gains with the same r
+        calls = []
         original = mc.exp_correlation_eigenvalues
 
         def spy(Ms, r):
-            nonlocal calls
-            calls += 1
-            bisected.extend((M, r) for M in Ms)
+            calls.append((list(Ms), r))
             return original(Ms, r)
 
         monkeypatch.setattr(mc, "exp_correlation_eigenvalues", spy)
         fig7 = build_preset("fig7", seed=3, trials=2)
+        run_scenarios(fig7, workers=2)
+        assert [(len(Ms), r) for Ms, r in calls] == [(5, s.correlation.r) for s in fig7]
+        calls.clear()
         other_gains = [dataclasses.replace(s, profile=PowerProfile(0.5, 1.0)) for s in fig7]
-        run_scenarios(fig7 + other_gains, workers=2)
-        assert calls == 2
-        assert len(bisected) == len(set(bisected)) == 2 * 5
+        together = run_scenarios(fig7 + other_gains, workers=2)
+        assert len(calls) == 4
+        assert together == [run_scenario(s, workers=2) for s in fig7 + other_gains]
