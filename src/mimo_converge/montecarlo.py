@@ -56,14 +56,17 @@ _EIGVALSH_NOGIL = 500
 # point runs on one worker: K^3 for the K x K Bartlett factor, M K^2 for
 # the M x K normals. Smaller trials spend most of their time in numpy's
 # Python overhead, under the GIL, and two workers only pass it back and
-# forth. Measured on 2 CPUs: Bartlett points with the metrics (fig1 to
-# fig3) gained from a second worker from K = 50 on and tied at K = 32;
-# Bartlett precoder points (fig4, fig5) gained at K = 100 only, and lost
-# up to K = 40; the normals of fig7 (M = 10 K) gained from K = 50 on and
-# tied at K = 30.
-_POOL_WORK_METRICS_FACTOR = 50**3
-_POOL_WORK_FACTOR = 100**3
-_POOL_WORK_NORMALS = 500 * 50**2
+# forth. 2-worker/1-worker wall ratios at alpha = 10 and 1000 trials, warm,
+# with OpenBLAS's own threads stopped, over three runs of
+# scripts/pool_crossover.py on 2 CPUs: Bartlett metrics 0.87-1.18 up to
+# K = 20, 0.78-0.84 at K = 25, 0.70-0.78 at K = 32, 0.61-0.75 from K = 40;
+# Bartlett precoders 0.95-1.83 up to K = 25, 0.94-1.07 at K = 32, 0.79-0.89
+# at K = 40, 0.65-0.80 from K = 50; the normals 0.92-1.37 at K = 10,
+# 0.62-0.85 at K = 15, 0.53-0.73 from K = 20. One Bartlett constant serves
+# both kinds: it pools the metrics' K = 32 (fig2, fig3), and no precoder
+# preset point lies between K = 32 and 40.
+_POOL_WORK_BARTLETT = 32**3
+_POOL_WORK_NORMALS = 150 * 15**2
 
 
 class ConfigError(ValueError):
@@ -368,10 +371,7 @@ def _point_workers(M: int, K: int, T: int, workers: int, bartlett: bool, metrics
     of the machine cannot change the schedule; the bytes do not depend on
     it either, since trial t always writes slot t.
     """
-    if bartlett:
-        work, least = K**3, _POOL_WORK_METRICS_FACTOR if metrics else _POOL_WORK_FACTOR
-    else:
-        work, least = M * K * K, _POOL_WORK_NORMALS
+    work, least = (K**3, _POOL_WORK_BARTLETT) if bartlett else (M * K * K, _POOL_WORK_NORMALS)
     if workers < 2 or work < least:
         return 1
     stacks = -(-T // _chunk(K, T, workers, metrics))

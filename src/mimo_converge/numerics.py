@@ -86,6 +86,17 @@ def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int]
 
 
 @functools.cache
+def _openblas_pool_stops() -> tuple[Callable[[], int], ...]:
+    """blas_thread_shutdown_ of each bundled OpenBLAS that exports it.
+
+    It joins that library's worker threads, which otherwise busy-wait for
+    about 2^28 cycles after each call before they sleep. OpenBLAS starts
+    them again on its next multithreaded call or thread-count change.
+    """
+    return _openblas_functions("blas_thread_shutdown_", [], ctypes.c_int)
+
+
+@functools.cache
 def _ztrtri() -> Callable[..., None] | None:
     """LAPACK's complex triangular inverse ztrtri from the bundled OpenBLAS,
     None where no bundled library exports it.
@@ -114,12 +125,20 @@ def _zherk() -> Callable[..., None] | None:
 
 @contextmanager
 def single_threaded_blas():
-    """Pin every bundled OpenBLAS to one thread for the duration of the block.
+    """Pin every bundled OpenBLAS to one thread for the duration of the block,
+    and stop its own worker threads while it is pinned.
 
     Each small factorisation or product then runs in the calling thread, so
     the worker count is the only parallelism and results do not depend on
-    the host's BLAS thread count. The previous counts are restored on exit,
-    also after an exception. Without a bundled OpenBLAS this does nothing.
+    the host's BLAS thread count; OpenBLAS's idle threads no longer spin on
+    the CPUs the workers use. The previous counts are restored on exit,
+    also after an exception, and the threads that restoring starts are
+    stopped again: a later multithreaded call starts them anew. Without a
+    bundled OpenBLAS this does nothing.
+
+    No other thread may be inside a multithreaded OpenBLAS call when the
+    outermost pin enters or exits, as OpenBLAS's own set_num_threads and
+    fork handler assume too.
     """
     global _pin_depth
     with _pin_lock:
@@ -128,6 +147,8 @@ def single_threaded_blas():
             _pin_saved[:] = [get_threads() for get_threads, _ in controls]
             for _, set_threads in controls:
                 set_threads(1)
+            for stop in _openblas_pool_stops():
+                stop()
         _pin_depth += 1
     try:
         yield
@@ -137,6 +158,8 @@ def single_threaded_blas():
             if _pin_depth == 0:
                 for (_, set_threads), n in zip(_openblas_thread_controls(), _pin_saved):
                     set_threads(n)
+                for stop in _openblas_pool_stops():
+                    stop()
 
 
 @functools.cache

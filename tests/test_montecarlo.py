@@ -656,12 +656,12 @@ class TestRunScenarios:
 _FIG5_POINTS = dict(mode=FIXED_ALPHA, alpha=10.0, trials=13, seed=8, profile=PowerProfile(0.1, 1.0),
                     compute_metrics=False)
 # Points on both sides of the pool rule: Bartlett precoders at K = 5 and 100,
-# Bartlett metrics at K = 16 and 64, and fig7's M x K normals at K = 20 and 50.
+# Bartlett metrics at K = 16 and 64, and fig7's M x K normals at K = 10 and 50.
 SCHEDULE_RUNS = {
     "bartlett-precoder": [Scenario(**_FIG5_POINTS, sweep=(5, 100))],
     "bartlett-metrics": [Scenario(mode=FIXED_ALPHA, alpha=2.0, sweep=(16, 64), trials=21, seed=9,
                                   profile=PowerProfile(0.2, 1.0))],
-    "correlated-pair": [Scenario(**_FIG5_POINTS, sweep=(20, 50), correlation=CorrelationSpec(rho))
+    "correlated-pair": [Scenario(**_FIG5_POINTS, sweep=(10, 50), correlation=CorrelationSpec(rho))
                         for rho in (0.5, 0.9)],
 }
 
@@ -695,14 +695,16 @@ class TestSchedule:
         assert mc._chunk(K, 1000, 2, True) * K > mc._EIGVALSH_NOGIL
 
     @pytest.mark.parametrize("M, K, T, workers, bartlett, metrics, expected", [
-        # Bartlett points: K^3 decides, from K = 50 with the metrics and
-        # from K = 100 for the precoders alone
+        # Bartlett points: K^3 decides, from K = 32 with or without the metrics
         (50, 5, 60, 2, True, False, 1), (200, 20, 60, 2, True, False, 1),
-        (500, 50, 60, 2, True, False, 1), (1000, 100, 60, 2, True, False, 2),
-        (320, 32, 1000, 2, True, True, 1), (16384, 10, 1000, 2, True, True, 1),
+        (310, 31, 60, 2, True, False, 1), (320, 32, 60, 2, True, False, 2),
+        (500, 50, 60, 2, True, False, 2), (1000, 100, 60, 2, True, False, 2),
+        (310, 31, 1000, 2, True, True, 1), (320, 32, 1000, 2, True, True, 2),
+        (16384, 10, 1000, 2, True, True, 1),
         (64, 50, 1000, 2, True, True, 2), (640, 64, 1000, 2, True, True, 2),
-        # M x K normals: M K^2 decides
-        (200, 20, 60, 2, False, False, 1), (300, 30, 60, 2, False, False, 1),
+        # M x K normals: M K^2 decides, from 150 x 15
+        (100, 10, 60, 2, False, False, 1), (149, 15, 60, 2, False, False, 1),
+        (150, 15, 60, 2, False, False, 2), (200, 20, 60, 2, False, False, 2),
         (500, 50, 60, 2, False, False, 2), (16384, 10, 60, 2, False, True, 2),
         # one worker, or one stack, runs alone
         (1000, 100, 60, 1, True, False, 1), (1000, 100, 1, 2, True, False, 1),
@@ -713,7 +715,7 @@ class TestSchedule:
     def test_pool_rule(self, M, K, T, workers, bartlett, metrics, expected):
         assert mc._point_workers(M, K, T, workers, bartlett, metrics) == expected
 
-    @pytest.mark.parametrize("K, maps", [(5, 0), (100, 1)])
+    @pytest.mark.parametrize("K, maps", [(5, 0), (50, 1), (100, 1)])
     def test_small_bartlett_point_never_reaches_the_pool(self, K, maps, monkeypatch):
         monkeypatch.setattr(_SpyPool, "maps", 0)
         monkeypatch.setattr(mc, "ThreadPoolExecutor", _SpyPool)

@@ -8,6 +8,7 @@ import glob
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -378,6 +379,10 @@ class TestFactorInverseTrace:
             inverse_trace(W, G)
 
 
+def _os_threads():
+    return len(os.listdir("/proc/self/task"))
+
+
 class TestSingleThreadedBlas:
     @pytest.fixture
     def controls(self):
@@ -414,6 +419,89 @@ class TestSingleThreadedBlas:
                 pass
             assert self._counts(controls) == [1] * len(controls)
         assert self._counts(controls) == [2] * len(controls)
+
+    def test_bundled_openblas_provides_blas_thread_shutdown(self):
+        # guards the pool stop: a numpy whose OpenBLAS stops exporting the
+        # symbol would otherwise leave its idle threads spinning beside the
+        # workers unnoticed
+        if not _bundles_scipy_openblas():
+            pytest.skip("numpy bundles no scipy_openblas64_ library")
+        assert numerics._openblas_pool_stops()
+
+    def test_pins_and_restores_without_blas_thread_shutdown(self, controls, monkeypatch):
+        monkeypatch.setattr(numerics, "_openblas_pool_stops", lambda: ())
+        with single_threaded_blas():
+            assert self._counts(controls) == [1] * len(controls)
+        assert self._counts(controls) == [2] * len(controls)
+
+    def test_openblas_threads_stopped_inside_and_after(self, controls):
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count the threads in")
+        if not numerics._openblas_pool_stops():
+            pytest.skip("no bundled OpenBLAS exports blas_thread_shutdown_")
+        a = _random_complex(400, 400, 3).real
+        expected = np.dot(a, a)  # on OpenBLAS's own threads, which stay up after it
+        before = _os_threads()
+        with single_threaded_blas():
+            inside = _os_threads()
+        assert inside < before
+        assert self._counts(controls) == [2] * len(controls)
+        assert _os_threads() <= before
+        # the next multithreaded call starts the threads again
+        np.testing.assert_allclose(a @ a, expected, rtol=1e-13)
+
+    def test_overlapping_pins_stop_the_threads_once_per_transition(self, controls, monkeypatch):
+        stops = numerics._openblas_pool_stops()
+        if not stops:
+            pytest.skip("no bundled OpenBLAS exports blas_thread_shutdown_")
+        calls = []
+
+        def spy(stop):
+            def counted():
+                calls.append(threading.current_thread().name)
+                return stop()
+            return counted
+
+        monkeypatch.setattr(numerics, "_openblas_pool_stops", lambda: tuple(spy(stop) for stop in stops))
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_pin():
+            with single_threaded_blas():
+                entered.set()
+                assert release.wait(timeout=30)
+
+        holder = threading.Thread(target=hold_pin, name="holder")
+        holder.start()
+        assert entered.wait(timeout=30)
+        assert calls == ["holder"] * len(stops)
+        with single_threaded_blas():
+            release.set()
+            holder.join(timeout=30)
+            assert not holder.is_alive()
+            assert calls == ["holder"] * len(stops)  # neither transition was outermost
+            assert self._counts(controls) == [1] * len(controls)
+        assert calls == ["holder"] * len(stops) + [threading.current_thread().name] * len(stops)
+        assert self._counts(controls) == [2] * len(controls)
+
+    def test_no_spinning_threads_after_a_run(self):
+        if not _bundles_scipy_openblas():
+            pytest.skip("numpy bundles no scipy_openblas64_ library")
+        src = str(Path(mimo_converge.__file__).resolve().parents[1])
+        # an idle OpenBLAS thread spins for about 2^28 cycles, some 0.1 s of CPU
+        probe = (
+            f"import sys, resource, time; sys.path.insert(0, {src!r}); "
+            "from mimo_converge.montecarlo import FIXED_ALPHA, Scenario, run_scenarios; "
+            "from mimo_converge.numerics import _openblas_thread_controls; "
+            "saved = [get() for get, _ in _openblas_thread_controls()]; "
+            "run_scenarios([Scenario(mode=FIXED_ALPHA, alpha=10.0, sweep=(5, 32), trials=20)], workers=2); "
+            "assert [get() for get, _ in _openblas_thread_controls()] == saved; "
+            "cpu = lambda: sum(resource.getrusage(resource.RUSAGE_SELF)[:2]); "
+            "start = cpu(); time.sleep(0.3); print(cpu() - start)"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        out = subprocess.run([sys.executable, "-c", probe], check=True, timeout=60, env=env,
+                             capture_output=True, text=True).stdout
+        assert float(out) < 0.01
 
     def test_import_does_not_look_up_blas(self):
         src = str(Path(mimo_converge.__file__).resolve().parents[1])
