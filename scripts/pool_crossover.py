@@ -8,15 +8,15 @@ For each kind of sweep point the pool rule in ``mimo_converge.montecarlo``
 decides on, it times one point per K on 1 and on 2 workers and prints the
 2-worker/1-worker wall-time ratio, the median over the repeats, with the
 median wall time of each side. A ratio below 1 means the second worker
-helps; the pool constants should sit where the ratios drop clearly below
-1. The kinds, all at alpha = 10 like the presets:
+helps; the pool constant _POOL_WORK should sit where the ratios of every
+kind drop clearly below 1. The kinds, all at alpha = 10 like the presets:
 
 - bartlett-metrics: the convergence metrics of an iid channel (fig2);
-  per-trial work K^3, against _POOL_WORK_BARTLETT.
+  per-trial work K^3.
 - bartlett-precoders: ZF and MF with unequal gains (fig5); per-trial work
-  K^3, against _POOL_WORK_BARTLETT.
+  K^3.
 - normals: ZF and MF with correlation and unequal gains (fig7), which
-  draws the M x K normals; per-trial work M K^2, against _POOL_WORK_NORMALS.
+  draws the M x K normals; per-trial work M K^2.
 
 The runs are warm and in one process: each point runs once untimed first,
 the whole measurement holds one BLAS pin, so OpenBLAS's own threads stay
@@ -64,7 +64,7 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    mc._POOL_WORK_BARTLETT = mc._POOL_WORK_NORMALS = 0
+    mc._POOL_WORK = 0
     print(f"trials {args.trials}, median of {args.repeats} repeats")
     print(f"{'kind':<20}{'K':>5}{'work':>10}{'1 worker s':>12}{'2 workers s':>13}{'ratio':>8}")
     with single_threaded_blas():

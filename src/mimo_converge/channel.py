@@ -99,13 +99,12 @@ class CorrelationSpec:
 
 
 def sample_normals(M: int, K: int, rng: RngStream, out: np.ndarray | None = None) -> np.ndarray:
-    """The 2 x M x K standard normals of an M x K draw: real parts, then imaginary.
+    """The 2 x M x K standard normals of an M x K draw, M, K >= 1: real parts,
+    then imaginary.
 
     out, a C-contiguous float64 array of that shape, receives them in place
     of a new array. Bit-identical for identical (seed, stream).
     """
-    if M < 1 or K < 1:
-        raise ValueError(f"M and K must be positive, got M={M}, K={K}")
     return rng.generator().standard_normal((2, M, K), out=out)
 
 
@@ -128,7 +127,10 @@ def scale_normals(parts: np.ndarray, scale: np.ndarray | float, out: np.ndarray)
 
 def exp_correlation_eigenvalues(Ms: Sequence[int], r: float) -> list[np.ndarray]:
     """The M eigenvalues of the correlation matrix R_ij = r**|i - j|, 0 < r < 1,
-    for each antenna count M of Ms, in the order of Ms.
+    for each antenna count M >= 1 of Ms, a non-empty sequence, in the order
+    of Ms. The sweep harness makes one call per correlated scenario, for all
+    its M, and its checks admit no other input; only the brackets' signs
+    are checked here.
 
     Kac, Murdock and Szego (J. Rational Mech. Anal. 2, 1953):
     lambda_k = (1 - r^2) / ((1 - r)^2 + 4 r sin^2(theta_k / 2)), where
@@ -139,35 +141,20 @@ def exp_correlation_eigenvalues(Ms: Sequence[int], r: float) -> list[np.ndarray]
     (M + 1) pi, so theta_k solves phi(theta) = k pi. Every root of every M
     is bisected inside its bracket, all in one array, and every bracket
     must change sign: M disjoint brackets give M distinct eigenvalues,
-    largest first. Each root gets the bits it gets alone. The sweep
-    harness makes one call per correlated scenario, for all its M.
+    largest first. Each root gets the bits it gets alone.
     """
-    if not (len(Ms) > 0 and min(Ms) >= 1 and 0.0 < r < 1.0):
-        raise ValueError(f"need antenna counts M >= 1 and 0 < r < 1, got M={list(Ms)}, r={r}")
     edges = [np.arange(M + 1) * (np.pi / (M + 1)) for M in Ms]
     lo = np.concatenate([e[:-1] for e in edges])
-    top = np.concatenate([e[1:] for e in edges])
-    hi = top.copy()
+    hi = top = np.concatenate([e[1:] for e in edges])
     scale = np.repeat(np.array(Ms, dtype=np.float64) + 1, Ms)  # M + 1 of each root's M
-    # Every step works in these rows: a fresh temporary of this size per
-    # operation would be mapped and faulted in each time.
-    mid, x, y = np.empty((3, lo.size))
 
     def excess(theta):
         """phi(theta) - k pi, with k pi as (M + 1) times the top edge of bracket
-        k: there the excess is 2 arg(1 - r e^(-i theta)) >= 0 exactly. The
-        bits of (M + 1) * (theta - top) + 2 * arctan2(r sin(theta),
-        (1 - r) + 2 r sin(theta / 2)^2), the second argument being
-        1 - r cos(theta) without cancellation; returned in x."""
-        np.sin(np.divide(theta, 2, out=x), out=x)
-        np.add(np.multiply(np.square(x, out=x), 2 * r, out=x), 1 - r, out=x)
-        np.multiply(np.sin(theta, out=y), r, out=y)
-        np.multiply(np.arctan2(y, x, out=y), 2, out=y)
-        np.multiply(np.subtract(theta, top, out=x), scale, out=x)
-        return np.add(x, y, out=x)
+        k: there the excess is 2 arg(1 - r e^(-i theta)) >= 0 exactly."""
+        one_minus_cos = np.sin(theta / 2) ** 2 * (2 * r) + (1 - r)  # 1 - r cos(theta), no cancellation
+        return (theta - top) * scale + 2 * np.arctan2(np.sin(theta) * r, one_minus_cos)
 
-    bad = ~(excess(lo) < 0)
-    bad |= ~(excess(hi) >= 0)
+    bad = ~(excess(lo) < 0) | ~(excess(hi) >= 0)
     if bad.any():
         M = scale[np.argmax(bad)] - 1
         raise ArithmeticError(f"a root bracket does not change sign at M={M:.0f}, r={r}")
@@ -176,12 +163,11 @@ def exp_correlation_eigenvalues(Ms: Sequence[int], r: float) -> list[np.ndarray]
     # further step changes a bit. A bracket no wider than pi/2 gets there
     # within 64 halvings.
     for _ in range(64):
-        np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
+        mid = (lo + hi) * 0.5
         if np.all((mid == lo) | (mid == hi)):
             break
         below = excess(mid) < 0
-        np.copyto(lo, mid, where=below)
-        np.copyto(hi, mid, where=~below)
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     lam = (1 - r) * (1 + r) / ((1 - r) ** 2 + 4 * r * np.sin(0.25 * (lo + hi)) ** 2)
     return np.split(lam, np.cumsum(Ms)[:-1])
 
@@ -207,11 +193,12 @@ def _gamma_shapes(M: int, K: int) -> np.ndarray:
 def sample_gram_factor(M: int, K: int, rng: RngStream, out: np.ndarray | None = None) -> np.ndarray:
     """K x K upper-triangular Bartlett factor R of an M x K iid CN(0, 1) draw.
 
-    For M >= K the entries are independent: |R_ii|^2 ~ Gamma(M - i, 1) for
-    i = 0..K-1, on a real positive diagonal, and every entry above it is
-    CN(0, 1). R^H R then has the law of H^H H for an M x K draw H of iid
-    CN(0, 1) entries, the complex Wishart CW_K(M, I), and so has
-    (R D)^H (R D) that of (H D)^H (H D) for any diagonal D. The gammas are
+    For 1 <= K <= M, which the caller ensures, the entries are independent:
+    |R_ii|^2 ~ Gamma(M - i, 1) for i = 0..K-1, on a real positive diagonal,
+    and every entry above it is CN(0, 1). R^H R then has the law of H^H H
+    for an M x K draw H of iid CN(0, 1) entries, the complex Wishart
+    CW_K(M, I), and so has (R D)^H (R D) that of (H D)^H (H D) for any
+    diagonal D. The gammas are
     drawn before the normals. Bit-identical for identical (seed, stream).
 
     out, a C-contiguous K x K complex128 array whose strict lower triangle
@@ -219,8 +206,6 @@ def sample_gram_factor(M: int, K: int, rng: RngStream, out: np.ndarray | None = 
     by np.zeros, receives R in place of a new array; those zeros are left
     as they are and every other entry is written.
     """
-    if not 1 <= K <= M:
-        raise ValueError(f"the Bartlett factor needs 1 <= K <= M, got M={M}, K={K}")
     g = rng.generator()
     R = np.zeros((K, K), dtype=np.complex128) if out is None else out
     flat = R.reshape(-1)

@@ -56,17 +56,13 @@ _EIGVALSH_NOGIL = 500
 # point runs on one worker: K^3 for the K x K Bartlett factor, M K^2 for
 # the M x K normals. Smaller trials spend most of their time in numpy's
 # Python overhead, under the GIL, and two workers only pass it back and
-# forth. 2-worker/1-worker wall ratios at alpha = 10 and 1000 trials, warm,
-# with OpenBLAS's own threads stopped, over three runs of
-# scripts/pool_crossover.py on 2 CPUs: Bartlett metrics 0.87-1.18 up to
-# K = 20, 0.78-0.84 at K = 25, 0.70-0.78 at K = 32, 0.61-0.75 from K = 40;
-# Bartlett precoders 0.95-1.83 up to K = 25, 0.94-1.07 at K = 32, 0.79-0.89
-# at K = 40, 0.65-0.80 from K = 50; the normals 0.92-1.37 at K = 10,
-# 0.62-0.85 at K = 15, 0.53-0.73 from K = 20. One Bartlett constant serves
-# both kinds: it pools the metrics' K = 32 (fig2, fig3), and no precoder
-# preset point lies between K = 32 and 40.
-_POOL_WORK_BARTLETT = 32**3
-_POOL_WORK_NORMALS = 150 * 15**2
+# forth. scripts/pool_crossover.py (alpha = 10, 1000 trials, warm, OpenBLAS's
+# own threads stopped, 2 CPUs) put the 2-worker/1-worker wall ratio clearly
+# below 1 from work 32^3 on for the Bartlett metrics, from 40^3 for the
+# Bartlett precoders, and between 10 000 and 33 750 for the normals. The
+# only preset points strictly between 10 000 and 40^3 are the metrics' K = 32
+# (fig2, fig3), so one constant serves all three kinds.
+_POOL_WORK = 32**3
 
 
 class ConfigError(ValueError):
@@ -140,9 +136,10 @@ def sweep_points(scenario: Scenario) -> list[tuple[int, int]]:
     The only check of a scenario's numbers; the trials trust them. Raises
     ConfigError before any computation on an invalid or infeasible
     configuration: a K, sweep value, trial count or seed operator.index
-    rejects, a seed outside [0, 2**64), a non-finite rho_f or alpha, M <= K
-    anywhere while ZF is enabled, M < K or K = 1 anywhere while the
-    convergence metrics are enabled, or an empty sweep.
+    rejects, a seed outside [0, 2**64), a non-finite rho_f or alpha, an
+    alpha*K that rounds to M < 1, M <= K anywhere while ZF is enabled,
+    M < K or K = 1 anywhere while the convergence metrics are enabled, or
+    an empty sweep. Every point it returns thus has M, K >= 1.
     """
     s = scenario
     if s.mode not in (FIXED_K, FIXED_ALPHA):
@@ -185,6 +182,8 @@ def sweep_points(scenario: Scenario) -> list[tuple[int, int]]:
             m = s.alpha * k
             if abs(m - round(m)) > 1e-9 * max(1.0, m):
                 raise ConfigError(f"alpha*K = {s.alpha}*{k} = {m} is not an integer M")
+            if round(m) < 1:
+                raise ConfigError(f"alpha*K = {s.alpha}*{k} = {m} rounds to M = 0; every point needs M >= 1")
             points.append((int(round(m)), int(k)))
 
     if s.compute_zf:
@@ -371,8 +370,7 @@ def _point_workers(M: int, K: int, T: int, workers: int, bartlett: bool, metrics
     of the machine cannot change the schedule; the bytes do not depend on
     it either, since trial t always writes slot t.
     """
-    work, least = (K**3, _POOL_WORK_BARTLETT) if bartlett else (M * K * K, _POOL_WORK_NORMALS)
-    if workers < 2 or work < least:
+    if workers < 2 or (K if bartlett else M) * K * K < _POOL_WORK:
         return 1
     stacks = -(-T // _chunk(K, T, workers, metrics))
     return min(workers, stacks)

@@ -284,8 +284,6 @@ def inverse_trace(W: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray
             raise SingularMatrixError(f"matrix is not positive definite: {exc}") from exc
         inverse = _triangular_inverse(L)
     else:
-        if factor.shape != W.shape:
-            raise ValueError(f"factor of shape {factor.shape} does not match W of shape {W.shape}")
         inverse = _triangular_inverse(np.ascontiguousarray(factor, dtype=np.complex128), upper=True)
     with np.errstate(over="ignore"):
         trace = np.sum(np.abs(inverse) ** 2, axis=(-2, -1))

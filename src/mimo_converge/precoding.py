@@ -27,11 +27,8 @@ def zf_snr_from_gram(gram: np.ndarray, rho_f: float, factor: np.ndarray | None =
 
 
 def zf_snr_limit(rho_f: float, alpha: float, mean_inv_beta: float) -> float:
-    """Large-system ZF SNR: rho_f (alpha - 1) / mean inverse link gain."""
-    if alpha <= 1:
-        raise ValueError(f"ZF limit requires alpha > 1, got {alpha}")
-    if mean_inv_beta <= 0:
-        raise ValueError(f"mean_inv_beta must be positive, got {mean_inv_beta}")
+    """Large-system ZF SNR: rho_f (alpha - 1) / mean inverse link gain, for
+    alpha > 1 and a positive mean."""
     return rho_f * (alpha - 1.0) / mean_inv_beta
 
 
@@ -52,11 +49,9 @@ def mf_sinr_from_gram(gram: np.ndarray, rho_f: float) -> np.ndarray:
 
 
 def mf_sinr_limit(rho_f: float, alpha: float, beta_i: float, mean_beta: float) -> float:
-    """Large-system MF SINR of a user with link gain beta_i.
+    """Large-system MF SINR of a user with link gain beta_i > 0.
 
     rho_f * alpha * beta_i^2 / (mean_beta * (1 + rho_f * beta_i)); equal
     powers (beta_i = mean_beta = 1) reduce it to rho_f * alpha / (rho_f + 1).
     """
-    if beta_i <= 0 or mean_beta <= 0:
-        raise ValueError("beta_i and mean_beta must be positive")
     return rho_f * alpha * beta_i**2 / (mean_beta * (1.0 + rho_f * beta_i))

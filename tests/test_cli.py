@@ -442,6 +442,18 @@ class TestMainExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("corr", [[], ["--corr-rho", "0.5"]], ids=["iid", "correlated"])
+    def test_alpha_rounding_m_to_zero_is_config_error(self, corr, tmp_path, monkeypatch, capsys):
+        # alpha*K = 1e-10 passes as the integer M = 0: reject it before the
+        # first draw, and before R's eigenvalues are bisected for it
+        _forbid_trials(monkeypatch)
+        out = tmp_path / "r.csv"
+        code = main(["--mode", "fixed-alpha", "--alpha", "1e-10", "--K", "1", "--stats", "mf", *corr,
+                     "--trials", "2", "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert "M >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--spacing", "nan"), ("--spacing", "inf"),
         ("--alpha", "nan"), ("--alpha", "inf"),

@@ -623,7 +623,11 @@ class TestRunScenarios:
     @pytest.mark.parametrize("change, message", [
         (dict(alpha=0.5), "M > K"),  # M < K with ZF on
         (dict(sweep=(5,), correlation=_RANK_ONE), "fewer than K = 5 eigenvalues"),
-    ], ids=["sweep-infeasible", "rank-deficient"])
+        # alpha*K = 1e-10 rounds to M = 0, with only MF on, which no M check guards
+        (dict(alpha=1e-10, sweep=(1,), compute_zf=False, compute_metrics=False, correlation=None),
+         "M >= 1"),
+        (dict(alpha=1e-10, sweep=(1,), compute_zf=False, compute_metrics=False), "M >= 1"),
+    ], ids=["sweep-infeasible", "rank-deficient", "zero-M", "zero-M-correlated"])
     def test_infeasible_scenario_rejected_before_any_draw(self, change, message, monkeypatch):
         # the second scenario fails its plan only after the first is planned
         _forbid_draws(monkeypatch)
@@ -702,10 +706,11 @@ class TestSchedule:
         (310, 31, 1000, 2, True, True, 1), (320, 32, 1000, 2, True, True, 2),
         (16384, 10, 1000, 2, True, True, 1),
         (64, 50, 1000, 2, True, True, 2), (640, 64, 1000, 2, True, True, 2),
-        # M x K normals: M K^2 decides, from 150 x 15
-        (100, 10, 60, 2, False, False, 1), (149, 15, 60, 2, False, False, 1),
-        (150, 15, 60, 2, False, False, 2), (200, 20, 60, 2, False, False, 2),
-        (500, 50, 60, 2, False, False, 2), (16384, 10, 60, 2, False, True, 2),
+        # M x K normals: M K^2 decides, from 146 x 15 (32 850 >= 32^3)
+        (100, 10, 60, 2, False, False, 1), (145, 15, 60, 2, False, False, 1),
+        (146, 15, 60, 2, False, False, 2), (150, 15, 60, 2, False, False, 2),
+        (200, 20, 60, 2, False, False, 2), (500, 50, 60, 2, False, False, 2),
+        (16384, 10, 60, 2, False, True, 2),
         # one worker, or one stack, runs alone
         (1000, 100, 60, 1, True, False, 1), (1000, 100, 1, 2, True, False, 1),
         (640, 64, 8, 2, True, True, 1),

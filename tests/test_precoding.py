@@ -98,10 +98,6 @@ class TestZfSnrLimit:
         assert zf_snr_limit(RHO_F, ALPHA, mean_inv_beta) == pytest.approx(math.log(10), rel=1e-12)
         assert zf_snr_limit(RHO_F, ALPHA, 3.9087) == pytest.approx(2.3026, rel=1e-4)
 
-    def test_alpha_at_most_one_rejected(self):
-        with pytest.raises(ValueError):
-            zf_snr_limit(1.0, 1.0, 1.0)
-
 
 class TestMfGamma:
     """MF power normalization tr(Gram(G)) / K, applied inside mf_sinr_from_gram."""
@@ -188,12 +184,3 @@ class TestMfSinrLimit:
     def test_zf_exceeds_mf_at_large_alpha(self):
         for alpha in (5.0, 10.0, 50.0):
             assert zf_snr_limit(1.0, alpha, 1.0) > mf_sinr_limit(1.0, alpha, 1.0, 1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            mf_sinr_limit(RHO_F, ALPHA, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            mf_sinr_limit(RHO_F, ALPHA, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            zf_snr_limit(RHO_F, ALPHA, 0.0)
-
