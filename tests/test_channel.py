@@ -271,6 +271,12 @@ class TestExpCorrelationMatrix:
         with pytest.raises(ValueError):
             CorrelationSpec(rho=0.5, spacing=0.0)
 
+    @pytest.mark.parametrize("rho", [-0.5, -1e-300])
+    def test_negative_rho_rejected(self, rho):
+        # exp_correlation_eigenvalues takes r in (0, 1) on trust
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            CorrelationSpec(rho)
+
     def test_adjacent_correlation(self):
         assert CorrelationSpec(0.5, spacing=2.0).r == 0.25
         assert CorrelationSpec(0.0, spacing=0.5).r == 0.0

@@ -67,6 +67,15 @@ class TestSweepPoints:
         with pytest.raises(ConfigError, match="not an integer"):
             sweep_points(_scenario(alpha=2.5, sweep=(3,)))
 
+    @pytest.mark.parametrize("alpha, sweep", [(1e-10, (1,)), (1e-12, (1, 2, 3))],
+                             ids=["one-point", "every-point"])
+    def test_fixed_alpha_m_rounding_to_zero_rejected(self, alpha, sweep):
+        # MF alone has no M > K or M >= K check that would catch M = 0, and
+        # the samplers take M >= 1 on trust
+        s = _scenario(alpha=alpha, sweep=sweep, compute_zf=False, compute_metrics=False)
+        with pytest.raises(ConfigError, match="rounds to M = 0"):
+            sweep_points(s)
+
     def test_unsorted_sweep_rejected(self):
         with pytest.raises(ConfigError, match="strictly increasing"):
             sweep_points(_scenario(sweep=(20, 10)))
@@ -782,6 +791,18 @@ class TestCorrelationRank:
     def test_mf_alone_runs_on_a_rank_deficient_correlation(self):
         s = _scenario(sweep=(5,), trials=3, correlation=_RANK_ONE, compute_zf=False, compute_metrics=False)
         assert run_scenario(s).points[0].stats["mf_sinr_mean"].trials == 3
+
+    @pytest.mark.parametrize("correlation", [None, CorrelationSpec(0.0), CorrelationSpec(0.0, spacing=0.5)],
+                             ids=["none", "rho-zero", "rho-zero-spaced"])
+    def test_no_bisection_at_r_zero(self, correlation, monkeypatch):
+        # exp_correlation_eigenvalues takes 0 < r < 1 on trust: the plan
+        # never calls it for an uncorrelated scenario
+        def no_bisection(Ms, r):
+            raise AssertionError(f"bisected at r = {r}")
+
+        monkeypatch.setattr(mc, "exp_correlation_eigenvalues", no_bisection)
+        s = _scenario(sweep=(5,), trials=2, correlation=correlation)
+        assert run_scenario(s).points[0].stats["zf_snr"].trials == 2
 
     def test_eigenvalues_once_per_correlated_scenario(self, monkeypatch):
         # fig7's two rho values at five K each: one bisection per scenario for

@@ -70,6 +70,21 @@ class TestLinkGains:
         with pytest.raises(ValueError):
             PowerProfile(beta_min, beta_max, eta)
 
+    def test_underflowing_ratio_refused(self):
+        # beta_min / beta_max underflows: both limiting moments are 0.0
+        with pytest.raises(ValueError, match="not both finite and positive"):
+            PowerProfile(1e-308, 1e308)
+
+    @pytest.mark.parametrize("beta_min, beta_max", [(1e-300, 1.0), (1e-150, 1e150), (1.0, 1e300)])
+    def test_admitted_extremes_have_positive_gains_and_moments(self, beta_min, beta_max):
+        # zf_snr_limit and mf_sinr_limit take positive gains and moments
+        # on trust: an admitted profile guarantees them
+        profile = PowerProfile(beta_min, beta_max)
+        for K in (1, 7, 1000):
+            gains = link_gains(K, profile)
+            assert (gains > 0).all() and np.isfinite(gains).all()
+        assert all(0 < m < float("inf") for m in limiting_moments(profile))
+
 
 class TestLimitingMoments:
     def test_constant_profile(self):
