@@ -6,7 +6,8 @@ Usage:
                                       [--seed S] [--workers W]
 
 fig1 sweeps M up to 16384 and takes the longest; lower --trials for a
-quick look at the curves.
+quick look at the curves. Each figure's "done" line ends with the SHA-256
+of its CSV, so two runs can be compared byte for byte from their logs.
 
 The script has no thread policy of its own: each figure runs through
 ``mimo_converge.cli.main``, which pins BLAS to one thread during the sweep
@@ -15,6 +16,7 @@ CPUs.
 """
 
 import argparse
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -23,13 +25,13 @@ from mimo_converge.cli import main as run_cli
 from mimo_converge.presets import PRESETS
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", default="results", type=Path)
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     for name, (_, description) in PRESETS.items():
@@ -45,7 +47,9 @@ def main() -> int:
         if code != 0:
             print(f"{name} failed with exit code {code}", file=sys.stderr)
             return code
-        print(f"=== {name} done in {time.perf_counter() - start:.1f}s -> {out}\n")
+        elapsed = time.perf_counter() - start
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        print(f"=== {name} done in {elapsed:.1f}s -> {out} sha256 {digest}\n")
     return 0
 
 

@@ -86,31 +86,30 @@ def _parse_stats(text: str) -> tuple[str, ...]:
 class _Option(NamedTuple):
     parse: Callable[[str], object]
     choices: tuple[str, ...] | None
-    pinned: bool  # a preset sets it, so it cannot be combined with --preset
     help: str
 
 
 # Every option, in --help order. A flag and a config-file line with the
 # same key go through the same _parse_value.
 _OPTIONS = {
-    "preset": _Option(str, tuple(sorted(PRESETS)), False, "figure-reproduction preset"),
-    "mode": _Option(str, (FIXED_K, FIXED_ALPHA), True, "sweep mode"),
-    "K": _Option(_parse_sweep, None, True, "fixed-K mode: one user count; fixed-alpha mode: K sweep (N, N1,N2,.. or a:b:step)"),
-    "M": _Option(_parse_sweep, None, True, "fixed-K mode: antenna-count sweep (N, N1,N2,.. or a:b:step)"),
-    "alpha": _Option(float, None, True, "fixed-alpha mode: antenna ratio M/K"),
-    "rho-f": _Option(float, None, True, "transmit SNR, linear scale (default 1.0)"),
-    "corr-rho": _Option(float, None, True, "ULA correlation decay constant (default: uncorrelated)"),
-    "spacing": _Option(float, None, True, "ULA inter-element distance unit (default 1.0)"),
-    "beta-min": _Option(float, None, True, "smallest link gain (with --beta-max; default: equal powers)"),
-    "beta-max": _Option(float, None, True, "largest link gain"),
-    "eta": _Option(float, None, True, "nominal gain-decay rate in (0,1); does not affect the gains"),
-    "trials": _Option(int, None, False, f"trials per sweep point (default {DEFAULT_TRIALS})"),
-    "seed": _Option(int, None, False, f"base RNG seed (default ${SEED_ENV_VAR} or {DEFAULT_SEED})"),
-    "workers": _Option(int, None, False, "worker threads, the only parallelism: BLAS runs single-threaded (default: CPUs this process may use)"),
-    "output": _Option(str, None, False, "output file path (default results.<format>)"),
-    "format": _Option(str, ("csv", "json"), False, "output format (default csv)"),
-    "stats": _Option(_parse_stats, None, True, "statistics to compute: comma list of metrics,zf,mf (default all)"),
-    "gram-source": _Option(str, ("H", "G"), True, "channel matrix the metrics Gram uses (default H)"),
+    "preset": _Option(str, tuple(sorted(PRESETS)), "figure-reproduction preset"),
+    "mode": _Option(str, (FIXED_K, FIXED_ALPHA), "sweep mode"),
+    "K": _Option(_parse_sweep, None, "fixed-K mode: one user count; fixed-alpha mode: K sweep (N, N1,N2,.. or a:b:step)"),
+    "M": _Option(_parse_sweep, None, "fixed-K mode: antenna-count sweep (N, N1,N2,.. or a:b:step)"),
+    "alpha": _Option(float, None, "fixed-alpha mode: antenna ratio M/K"),
+    "rho-f": _Option(float, None, "transmit SNR, linear scale (default 1.0)"),
+    "corr-rho": _Option(float, None, "ULA correlation decay constant (default: uncorrelated)"),
+    "spacing": _Option(float, None, "ULA inter-element distance unit (default 1.0)"),
+    "beta-min": _Option(float, None, "smallest link gain (with --beta-max; default: equal powers)"),
+    "beta-max": _Option(float, None, "largest link gain"),
+    "eta": _Option(float, None, "nominal gain-decay rate in (0,1); does not affect the gains"),
+    "trials": _Option(int, None, f"trials per sweep point (default {DEFAULT_TRIALS})"),
+    "seed": _Option(int, None, f"base RNG seed (default ${SEED_ENV_VAR} or {DEFAULT_SEED})"),
+    "workers": _Option(int, None, "worker threads, the only parallelism: BLAS runs single-threaded (default: CPUs this process may use)"),
+    "output": _Option(str, None, "output file path (default results.<format>)"),
+    "format": _Option(str, ("csv", "json"), "output format (default csv)"),
+    "stats": _Option(_parse_stats, None, "statistics to compute: comma list of metrics,zf,mf (default all)"),
+    "gram-source": _Option(str, ("H", "G"), "channel matrix the metrics Gram uses (default H)"),
 }
 
 
@@ -199,10 +198,9 @@ def parse_config(argv=None) -> RunConfig:
 
     try:
         if preset is not None:
-            pinned = sorted(k for k in opt if _OPTIONS[k].pinned)
-            if pinned:
+            if opt:  # a preset sets every key not popped above
                 raise ConfigError(
-                    f"--preset {preset} already determines {', '.join(pinned)}; "
+                    f"--preset {preset} already determines {', '.join(sorted(opt))}; "
                     "only seed, trials and output settings may be overridden"
                 )
             scenarios = build_preset(preset, seed=seed, trials=trials)

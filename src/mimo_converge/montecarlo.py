@@ -245,9 +245,10 @@ def _limits(scenario: Scenario, M: int, K: int) -> dict[str, float]:
 
 class _Share:
     """One scenario's part of a group point: how it turns the shared draw into
-    its Grams, its per-trial columns and its degenerate trials."""
+    its Grams, its per-trial columns and its degenerate trials. Takes the
+    scenario and its plan tuple of the point from _plan."""
 
-    def __init__(self, scenario: Scenario, bartlett: bool, M: int, K: int,
+    def __init__(self, scenario: Scenario, M: int, K: int, bartlett: bool,
                  row_power: np.ndarray | None, limits: dict[str, float]):
         s = self.scenario = scenario
         self.M, self.K = M, K
@@ -279,14 +280,12 @@ class _Share:
             self.cols["mf_sinr"] = np.empty((T, K))
         self.degenerate = np.zeros(T, dtype=bool)
 
-    def stacks(self, n: int) -> tuple[np.ndarray | None, np.ndarray | None, None]:
-        """Empty stacks of n Grams of G and of H, None where none is formed,
-        and no factor: an M x K channel has none."""
+    def stacks(self, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Empty stacks of n Grams of G and of H, None where none is formed."""
         shape = (n, self.K, self.K)
         return (
             np.empty(shape, dtype=np.complex128) if self.gram_of_g else None,
             np.empty(shape, dtype=np.complex128) if self.metrics_on_h else None,
-            None,
         )
 
     def grams(self, draw: np.ndarray, H: np.ndarray | None) -> tuple:
@@ -307,11 +306,12 @@ class _Share:
         return gram_g, gram_h, G if self.zf_on_factor else None
 
     def write(self, rows: slice, gram_g: np.ndarray | None, gram_h: np.ndarray | None,
-              factor_g: np.ndarray | None) -> None:
+              factor_g: np.ndarray | None = None) -> None:
         """Write each statistic of the stacked Grams of rows to cols[rows],
-        ZF's from the factors of G where given, which it may overwrite. A
-        slice of a stack gets the same bits as a stack of one; one degenerate
-        trial raises SingularMatrixError for the whole stack."""
+        ZF's from the factors of G where given, which it may overwrite; an
+        M x K channel has none. A slice of a stack gets the same bits as a
+        stack of one; one degenerate trial raises SingularMatrixError for the
+        whole stack."""
         s, cols = self.scenario, self.cols
         if s.compute_zf:
             cols["zf_snr"][rows] = zf_snr_from_gram(gram_g, s.rho_f, factor_g)
@@ -341,39 +341,29 @@ class _Share:
         )
 
 
-def _draws_bartlett(scenario: Scenario, M: int, K: int) -> bool:
-    """Whether the scenario's trials at (M, K) draw the Bartlett factor: an
-    M < K Wishart is singular, and a correlated Gram has no triangular factor
-    of this law, so both draw the M x K normals."""
-    r = 0.0 if scenario.correlation is None else scenario.correlation.r
-    return r == 0.0 and M >= K
+def _schedule(M: int, K: int, T: int, workers: int, bartlett: bool, metrics: bool) -> tuple[int, int]:
+    """(n, chunk): how many of the workers run a point of T trials, and its
+    trials per stack. A point runs on one worker unless its trials are large
+    enough to overlap, else on all the workers that get a stack when all of
+    them split the trials; the stacks are then sized for those n.
 
-
-def _chunk(K: int, T: int, workers: int, metrics: bool) -> int:
-    """Trials per stack of a point of T trials that runs on `workers` workers.
-
-    Within the byte cap, and every worker gets a stack. On more than one
-    worker a stack with the metrics holds enough Grams for its eigvalsh
+    A stack is within the byte cap, and each of n workers gets one. On n > 1
+    workers a stack with the metrics holds enough Grams for its eigvalsh
     call to release the GIL, past the byte cap if need be.
-    """
-    chunk = max(1, min(_STACK_BYTES // (16 * K * K), -(-T // workers)))
-    if workers > 1 and metrics:
-        chunk = max(chunk, _EIGVALSH_NOGIL // K + 1)
-    return chunk
-
-
-def _point_workers(M: int, K: int, T: int, workers: int, bartlett: bool, metrics: bool) -> int:
-    """How many of the workers run a point: all that get a stack when its
-    trials are large enough for them to overlap, else one.
 
     A function of the point's shape alone, never of a timing, so the load
     of the machine cannot change the schedule; the bytes do not depend on
     it either, since trial t always writes slot t.
     """
-    if workers < 2 or (K if bartlett else M) * K * K < _POOL_WORK:
-        return 1
-    stacks = -(-T // _chunk(K, T, workers, metrics))
-    return min(workers, stacks)
+
+    def chunk(n: int) -> int:
+        size = max(1, min(_STACK_BYTES // (16 * K * K), -(-T // n)))
+        return max(size, _EIGVALSH_NOGIL // K + 1) if n > 1 and metrics else size
+
+    n = 1
+    if workers > 1 and (K if bartlett else M) * K * K >= _POOL_WORK:
+        n = min(workers, -(-T // chunk(workers)))
+    return n, chunk(n)
 
 
 def _run_group(
@@ -382,18 +372,18 @@ def _run_group(
 ) -> None:
     """Run the T trials of one group point, each drawn once for all shares.
 
-    Trial t is drawn on stream t. _point_workers picks n workers, and worker
-    w takes every n-th stack of trials from the w-th on. A Bartlett group
-    has one share: a stack of its factors is drawn into one array, which
-    the share scales by its gains in place and ZF inverts in place, and all
-    Grams of the stack come from one call. An M x K draw fills two buffers
-    of the worker's own that live for the point, one trial at a time: the
-    shared normals, and each share's channel H in turn.
+    Trial t is drawn on stream t. _schedule picks n workers and the stack
+    size, and worker w takes every n-th stack from the w-th on. bartlett is
+    the draw kind of the shares' plans. A Bartlett group has one share: a
+    stack of its factors is drawn into one array, which the share scales by
+    its gains in place and ZF inverts in place, and all Grams of the stack
+    come from one call. An M x K draw fills two buffers of the worker's own
+    that live for the point, one trial at a time: the shared normals, and
+    each share's channel H in turn.
     """
     M, K = shares[0].M, shares[0].K
     metrics = any(share.scenario.compute_metrics for share in shares)
-    workers = _point_workers(M, K, T, len(states), bartlett, metrics)
-    chunk = _chunk(K, T, workers, metrics)
+    workers, chunk = _schedule(M, K, T, len(states), bartlett, metrics)
     starts = range(0, T, chunk)
 
     def run_worker(w: int) -> None:
@@ -447,11 +437,14 @@ def _run_group(
         list(pool.map(run_worker, range(workers)))
 
 
-def _plan(scenario: Scenario) -> list[tuple[int, int, np.ndarray | None, dict[str, float]]]:
-    """Validate a scenario and work out (M, K, row powers, limits) for each of
-    its points before the first trial. The row powers of its M x K draw are
-    the eigenvalues of its correlation R, from one bisection for all its M,
-    or None without correlation.
+def _plan(scenario: Scenario) -> list[tuple[int, int, bool, np.ndarray | None, dict[str, float]]]:
+    """Validate a scenario and work out (M, K, bartlett, row powers, limits)
+    for each of its points before the first trial. The row powers of its
+    M x K draw are the eigenvalues of its correlation R, from one bisection
+    for all its M, or None without correlation. bartlett is whether its
+    trials draw the K x K Bartlett factor: not where an M < K Wishart is
+    singular, nor under correlation, whose Gram has no triangular factor of
+    this law; those points draw the M x K normals.
 
     Raises ConfigError where ZF or the metrics are on and fewer than K
     eigenvalues of R lie above SINGULAR_RTOL times the largest: every Gram
@@ -468,7 +461,7 @@ def _plan(scenario: Scenario) -> list[tuple[int, int, np.ndarray | None, dict[st
                 f"correlation rho ** spacing = {r!r} leaves R fewer than K = {K} eigenvalues above "
                 f"{SINGULAR_RTOL} times the largest at M = {M}; ZF and the metrics need K"
             )
-    return [(M, K, lam, lim) for (M, K), lam, lim in zip(grid, powers, limits)]
+    return [(M, K, lam is None and M >= K, lam, lim) for (M, K), lam, lim in zip(grid, powers, limits)]
 
 
 def run_scenarios(scenarios: list[Scenario], workers: int = 1) -> list[SweepResult]:
@@ -493,8 +486,7 @@ def run_scenarios(scenarios: list[Scenario], workers: int = 1) -> list[SweepResu
     plans = [_plan(s) for s in scenarios]
     groups: dict[tuple, list[tuple[int, int]]] = {}
     for i, (s, plan) in enumerate(zip(scenarios, plans)):
-        for j, (M, K, _, _) in enumerate(plan):
-            bartlett = _draws_bartlett(s, M, K)
+        for j, (M, K, bartlett, _, _) in enumerate(plan):
             key = (M, K, int(s.seed), int(s.trials), bartlett, i if bartlett else None)
             groups.setdefault(key, []).append((i, j))
     points: list[list] = [[None] * len(plan) for plan in plans]
@@ -503,7 +495,7 @@ def run_scenarios(scenarios: list[Scenario], workers: int = 1) -> list[SweepResu
     states = [RngStream(0) for _ in range(workers)]
     with single_threaded_blas(), ThreadPoolExecutor(max_workers=len(states)) as pool:
         for (M, K, seed, T, bartlett, _), members in groups.items():
-            shares = [_Share(scenarios[i], bartlett, *plans[i][j]) for i, j in members]
+            shares = [_Share(scenarios[i], *plans[i][j]) for i, j in members]
             _run_group(shares, seed, T, bartlett, states, pool)
             for (i, j), share in zip(members, shares):
                 points[i][j] = share.point()

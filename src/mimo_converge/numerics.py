@@ -173,21 +173,19 @@ def _upper_and_diagonal(K: int) -> np.ndarray:
 def gram_normalized(A: np.ndarray) -> np.ndarray:
     """Gram matrix conj(A).T @ A, normalized to an exactly Hermitian form.
 
-    One Gram per matrix of A, an M x K matrix or a stack of shape
+    One Gram per matrix of A, a complex M x K matrix or a stack of shape
     (..., M, K). The result is exactly Hermitian PSD with a real
     nonnegative diagonal; its dimension is the column count of A. Dividing
     it by a positive real, such as the antenna count M, keeps it exactly
-    Hermitian. A complex M x K matrix with M K^2 of at least _HERK_MIN_WORK
-    gets its lower triangle from BLAS's zherk, half the multiply-adds of a
-    full product; a stack, a real matrix, a smaller complex one, or any
-    where no bundled zherk is found, gets it from matmul, which gives each
-    matrix of a stack the bits it gets alone. The two products may differ
-    in the last bit of an entry.
+    Hermitian. An M x K matrix with M K^2 of at least _HERK_MIN_WORK gets
+    its lower triangle from BLAS's zherk, half the multiply-adds of a full
+    product; a stack, a smaller matrix, or any where no bundled zherk is
+    found, gets it from matmul, which gives each matrix of a stack the bits
+    it gets alone. The two products may differ in the last bit of an entry.
     """
     tall = A.ndim == 2 and A.dtype == np.complex128 and A.shape[0] * A.shape[1] ** 2 >= _HERK_MIN_WORK
     herk = _zherk() if tall else None
     if herk is None:
-        # A.conj() of a real A is A itself, which matmul takes to syrk: keep those bits.
         B = np.matmul(A.conj().swapaxes(-1, -2), A)
     else:
         B = _herk_lower(herk, np.ascontiguousarray(A))
@@ -202,10 +200,9 @@ def gram_normalized(A: np.ndarray) -> np.ndarray:
     np.copyto(B, 0, where=_upper_and_diagonal(K))
     real = B.real
     real += real.swapaxes(-1, -2)
-    if np.iscomplexobj(B):
-        imag = B.imag
-        imag += 0.0
-        imag -= imag.swapaxes(-1, -2)
+    imag = B.imag
+    imag += 0.0
+    imag -= imag.swapaxes(-1, -2)
     B.reshape(*B.shape[:-2], K * K).real[..., :: K + 1] += diagonal
     return B
 

@@ -1,6 +1,8 @@
 """CLI tests: flag/file/preset precedence, output schema, exit codes."""
 
 import csv
+import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -144,13 +146,24 @@ class TestParseConfig:
             parse_config(["--preset", "fig4"])
 
 
+def _flag_text(value) -> str:
+    """The flag text that parses to a preset table's value."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+_PRESET_TABLE_FLAGS = sorted({
+    (name, key, _flag_text(value))
+    for name, (tables, _) in PRESETS.items() for table in tables for key, value in table.items()
+})
+
+
 class TestPresetsAreFlags:
     """A preset is a list of option tables that go through the flags' own path."""
 
-    def test_tables_use_only_pinned_keys(self):
-        for name, (tables, _) in PRESETS.items():
-            for table in tables:
-                assert all(cli._OPTIONS[key].pinned for key in table), name
+    @pytest.mark.parametrize("name, key, text", _PRESET_TABLE_FLAGS)
+    def test_table_keys_are_refused_beside_the_preset(self, name, key, text):
+        with pytest.raises(ConfigError, match=f"already determines {re.escape(key)};"):
+            parse_config(["--preset", name, f"--{key}", text])
 
     @pytest.mark.parametrize("name, flags", [
         ("fig2", ["--mode", "fixed-alpha", "--alpha", "10", "--K", "8,16,32,64,128,256",
@@ -613,6 +626,17 @@ class TestRunAllFiguresScript:
         )
         assert done.returncode == EXIT_OK, done.stderr
         assert sorted(p.name for p in tmp_path.glob("*.csv")) == [f"fig{i}.csv" for i in range(1, 8)]
+
+    def test_done_lines_carry_each_csv_sha256(self, tmp_path, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "run_all_figures.py"
+        spec = importlib.util.spec_from_file_location("run_all_figures", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main(["--trials", "2", "--workers", "1", "--outdir", str(tmp_path)]) == EXIT_OK
+        done = re.findall(r"=== (\w+) done in .* -> (.+) sha256 ([0-9a-f]{64})$", capsys.readouterr().out, re.M)
+        assert [name for name, _, _ in done] == list(PRESETS)
+        for _, out, digest in done:
+            assert hashlib.sha256(Path(out).read_bytes()).hexdigest() == digest
 
 
 class TestByteReproducibility:

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mimo_converge.montecarlo as mc
 from mimo_converge.channel import (
@@ -354,13 +356,14 @@ class TestDegenerateRetry:
 def _record_chunks(monkeypatch):
     """Record the stack size of every point the harness runs."""
     chunks = []
-    original = mc._chunk
+    original = mc._schedule
 
     def spy(*args):
-        chunks.append(original(*args))
-        return chunks[-1]
+        schedule = original(*args)
+        chunks.append(schedule[1])
+        return schedule
 
-    monkeypatch.setattr(mc, "_chunk", spy)
+    monkeypatch.setattr(mc, "_schedule", spy)
     return chunks
 
 
@@ -701,11 +704,26 @@ class TestSchedule:
         (8, 1000, 2, True, 256), (10, 60, 2, True, 51),
     ])
     def test_chunk_rule(self, K, T, workers, metrics, chunk):
-        assert mc._chunk(K, T, workers, metrics) == chunk
+        # 16384 x K normals are large enough to pool on every worker
+        assert mc._schedule(16384, K, T, workers, False, metrics) == (workers, chunk)
 
     @pytest.mark.parametrize("K", [2, 8, 10, 50, 64, 100, 128, 256])
     def test_pooled_metrics_stacks_release_the_gil(self, K):
-        assert mc._chunk(K, 1000, 2, True) * K > mc._EIGVALSH_NOGIL
+        workers, chunk = mc._schedule(16384, K, 1000, 2, False, True)
+        assert workers == 2 and chunk * K > mc._EIGVALSH_NOGIL
+
+    @given(
+        st.integers(1, 20000), st.integers(1, 300), st.integers(1, 2000),
+        st.integers(1, 8), st.booleans(), st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_schedule_is_a_fixed_point_that_feeds_every_worker(self, M, K, T, workers, bartlett, metrics):
+        n, chunk = mc._schedule(M, K, T, workers, bartlett, metrics)
+        assert 1 <= n <= workers and chunk >= 1
+        assert -(-T // chunk) >= n  # each of the n workers gets a stack
+        assert mc._schedule(M, K, T, n, bartlett, metrics) == (n, chunk)
+        if n > 1 and metrics:
+            assert chunk * K > mc._EIGVALSH_NOGIL
 
     @pytest.mark.parametrize("M, K, T, workers, bartlett, metrics, expected", [
         # Bartlett points: K^3 decides, from K = 32 with or without the metrics
@@ -727,7 +745,7 @@ class TestSchedule:
         (1000, 100, 2, 3, True, False, 2), (1000, 100, 60, 3, True, False, 3),
     ])
     def test_pool_rule(self, M, K, T, workers, bartlett, metrics, expected):
-        assert mc._point_workers(M, K, T, workers, bartlett, metrics) == expected
+        assert mc._schedule(M, K, T, workers, bartlett, metrics)[0] == expected
 
     @pytest.mark.parametrize("K, maps", [(5, 0), (50, 1), (100, 1)])
     def test_small_bartlett_point_never_reaches_the_pool(self, K, maps, monkeypatch):
