@@ -22,7 +22,7 @@ The runs are warm and in one process: each point runs once untimed first,
 the whole measurement holds one BLAS pin, so OpenBLAS's own threads stay
 stopped, and the 1- and 2-worker runs of a repeat alternate which goes
 first. The pool rule is switched off for the measurement, so every point
-runs on both workers.
+runs on both workers, and switched back on when it ends.
 """
 
 import argparse
@@ -58,30 +58,33 @@ def _wall(scenario: Scenario, workers: int) -> float:
     return time.perf_counter() - start
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=1000)
     parser.add_argument("--repeats", type=int, default=5)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    mc._POOL_WORK = 0
-    print(f"trials {args.trials}, median of {args.repeats} repeats")
-    print(f"{'kind':<20}{'K':>5}{'work':>10}{'1 worker s':>12}{'2 workers s':>13}{'ratio':>8}")
-    with single_threaded_blas():
-        for kind, (fields, grid) in KINDS.items():
-            for K in grid:
-                s = Scenario(mode=FIXED_ALPHA, alpha=10.0, sweep=(K,), trials=args.trials, **fields)
-                work = K**3 if s.correlation is None else 10 * K * K**2  # M = 10 K
-                for workers in (1, 2):
-                    _wall(s, workers)  # warm-up
-                walls = {1: [], 2: []}
-                ratios = []
-                for r in range(args.repeats):
-                    for workers in ((1, 2) if r % 2 == 0 else (2, 1)):
-                        walls[workers].append(_wall(s, workers))
-                    ratios.append(walls[2][-1] / walls[1][-1])
-                print(f"{kind:<20}{K:>5}{work:>10}{statistics.median(walls[1]):>12.4f}"
-                      f"{statistics.median(walls[2]):>13.4f}{statistics.median(ratios):>8.2f}")
+    pool_work, mc._POOL_WORK = mc._POOL_WORK, 0
+    try:
+        print(f"trials {args.trials}, median of {args.repeats} repeats")
+        print(f"{'kind':<20}{'K':>5}{'work':>10}{'1 worker s':>12}{'2 workers s':>13}{'ratio':>8}")
+        with single_threaded_blas():
+            for kind, (fields, grid) in KINDS.items():
+                for K in grid:
+                    s = Scenario(mode=FIXED_ALPHA, alpha=10.0, sweep=(K,), trials=args.trials, **fields)
+                    work = K**3 if s.correlation is None else 10 * K * K**2  # M = 10 K
+                    for workers in (1, 2):
+                        _wall(s, workers)  # warm-up
+                    walls = {1: [], 2: []}
+                    ratios = []
+                    for r in range(args.repeats):
+                        for workers in ((1, 2) if r % 2 == 0 else (2, 1)):
+                            walls[workers].append(_wall(s, workers))
+                        ratios.append(walls[2][-1] / walls[1][-1])
+                    print(f"{kind:<20}{K:>5}{work:>10}{statistics.median(walls[1]):>12.4f}"
+                          f"{statistics.median(walls[2]):>13.4f}{statistics.median(ratios):>8.2f}")
+    finally:
+        mc._POOL_WORK = pool_work
     return 0
 
 

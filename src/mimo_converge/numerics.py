@@ -27,14 +27,7 @@ SINGULAR_RTOL = 1e-12
 # the last exit restores.
 _pin_lock = threading.Lock()
 _pin_depth = 0
-_pin_saved: list[int] = []
-
-# Smallest M K^2 of a lone M x K matrix whose Gram goes to zherk. Below it
-# the ctypes call costs more than the halved multiply-adds save (50 x 5
-# took 27 us against 20 us for matmul, 1000 x 10 took 58 us against 62 us,
-# one BLAS thread). A stack keeps its one batched matmul: that crossover
-# was measured for lone matrices only, which each pay a call of their own.
-_HERK_MIN_WORK = 100_000
+_pin_saved: int | None = None
 
 # zherk's real alpha and beta, by address: C = 1 * A A^H + 0 * C, so C is
 # written, not read. Shared by every call and thread, as zherk only reads them.
@@ -47,14 +40,14 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 
 @functools.cache
-def _openblas_libraries() -> tuple[ctypes.CDLL, ...]:
-    """The 64-bit-integer OpenBLAS libraries that numpy bundles.
+def _openblas() -> ctypes.CDLL | None:
+    """The 64-bit-integer OpenBLAS that numpy bundles, None where there is none.
 
     numpy's OpenBLAS is the only BLAS the simulator calls. It is looked up
     once per process on first use, in the ``numpy.libs`` directory that
-    auditwheel places next to the package.
+    auditwheel places next to the package: the first loadable library there
+    that exports scipy_openblas_get_num_threads64_.
     """
-    libs = []
     libs_dir = os.path.dirname(np.__file__) + ".libs"
     for path in sorted(glob.glob(os.path.join(libs_dir, "*openblas*.so*"))):
         try:
@@ -62,57 +55,54 @@ def _openblas_libraries() -> tuple[ctypes.CDLL, ...]:
             lib.scipy_openblas_get_num_threads64_
         except (OSError, AttributeError):  # not loadable, or not numpy's OpenBLAS
             continue
-        libs.append(lib)
-    return tuple(libs)
+        return lib
+    return None
 
 
-def _openblas_functions(name: str, argtypes: list, restype=None) -> tuple[Callable[..., object], ...]:
-    """Function `name` of each bundled OpenBLAS that exports it, bound with
-    argtypes and restype; empty where none does."""
-    functions = []
-    for lib in _openblas_libraries():
-        function = getattr(lib, name, None)
-        if function is not None:
-            function.argtypes, function.restype = argtypes, restype
-            functions.append(function)
-    return tuple(functions)
-
-
-@functools.cache
-def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
-    """(get, set) thread-count functions of each bundled OpenBLAS."""
-    return tuple(zip(_openblas_functions("scipy_openblas_get_num_threads64_", [], ctypes.c_int),
-                     _openblas_functions("scipy_openblas_set_num_threads64_", [ctypes.c_int])))
+def _openblas_function(name: str, argtypes: list, restype=None) -> Callable[..., object] | None:
+    """Function `name` of the bundled OpenBLAS, bound with argtypes and
+    restype; None where there is no bundled OpenBLAS or it does not export
+    `name`."""
+    function = getattr(_openblas(), name, None)
+    if function is not None:
+        function.argtypes, function.restype = argtypes, restype
+    return function
 
 
 @functools.cache
-def _openblas_pool_stops() -> tuple[Callable[[], int], ...]:
-    """blas_thread_shutdown_ of each bundled OpenBLAS that exports it.
+def _thread_controls() -> tuple[Callable[[], int], Callable[[int], None], Callable[[], int] | None] | None:
+    """(get, set, stop) of the bundled OpenBLAS, None where there is none.
 
-    It joins that library's worker threads, which otherwise busy-wait for
-    about 2^28 cycles after each call before they sleep. OpenBLAS starts
-    them again on its next multithreaded call or thread-count change.
+    get and set read and write its thread count. stop is its
+    blas_thread_shutdown_, None where it does not export it: it joins the
+    worker threads, which otherwise busy-wait for about 2^28 cycles after
+    each call before they sleep. OpenBLAS starts them again on its next
+    multithreaded call or thread-count change.
     """
-    return _openblas_functions("blas_thread_shutdown_", [], ctypes.c_int)
+    if _openblas() is None:
+        return None
+    return (_openblas_function("scipy_openblas_get_num_threads64_", [], ctypes.c_int),
+            _openblas_function("scipy_openblas_set_num_threads64_", [ctypes.c_int]),
+            _openblas_function("blas_thread_shutdown_", [], ctypes.c_int))
 
 
 @functools.cache
 def _ztrtri() -> Callable[..., None] | None:
     """LAPACK's complex triangular inverse ztrtri from the bundled OpenBLAS,
-    None where no bundled library exports it.
+    None where it is not found.
 
     Fortran calling convention with 64-bit integers: (uplo, diag, n, a,
     lda, info), every argument by address. ctypes releases the GIL during
     the call.
     """
     argtypes = [ctypes.c_char_p, ctypes.c_char_p] + [ctypes.c_void_p] * 4
-    return next(iter(_openblas_functions("scipy_ztrtri_64_", argtypes)), None)
+    return _openblas_function("scipy_ztrtri_64_", argtypes)
 
 
 @functools.cache
 def _zherk() -> Callable[..., None] | None:
     """BLAS's complex Hermitian rank-k update zherk from the bundled OpenBLAS,
-    None where no bundled library exports it.
+    None where it is not found.
 
     Fortran calling convention with 64-bit integers: (uplo, trans, n, k,
     alpha, a, lda, beta, c, ldc), every argument by address, alpha and
@@ -120,46 +110,53 @@ def _zherk() -> Callable[..., None] | None:
     """
     int_p, real_p, array_p = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double), ctypes.c_void_p
     argtypes = [ctypes.c_char_p, ctypes.c_char_p, int_p, int_p, real_p, array_p, int_p, real_p, array_p, int_p]
-    return next(iter(_openblas_functions("scipy_zherk_64_", argtypes)), None)
+    return _openblas_function("scipy_zherk_64_", argtypes)
+
+
+def _set_blas_threads(n: int) -> int | None:
+    """Set the bundled OpenBLAS's thread count to n, stop the worker threads
+    that leaves where it exports the stop, and return the count it had;
+    without a bundled OpenBLAS do nothing and return None."""
+    controls = _thread_controls()
+    if controls is None:
+        return None
+    get_threads, set_threads, stop = controls
+    previous = get_threads()
+    set_threads(n)
+    if stop is not None:
+        stop()
+    return previous
 
 
 @contextmanager
 def single_threaded_blas():
-    """Pin every bundled OpenBLAS to one thread for the duration of the block,
+    """Pin the bundled OpenBLAS to one thread for the duration of the block,
     and stop its own worker threads while it is pinned.
 
     Each small factorisation or product then runs in the calling thread, so
     the worker count is the only parallelism and results do not depend on
     the host's BLAS thread count; OpenBLAS's idle threads no longer spin on
-    the CPUs the workers use. The previous counts are restored on exit,
-    also after an exception, and the threads that restoring starts are
-    stopped again: a later multithreaded call starts them anew. Without a
-    bundled OpenBLAS this does nothing.
+    the CPUs the workers use. The previous count is restored on exit, also
+    after an exception, and the threads that restoring starts are stopped
+    again: a later multithreaded call starts them anew. Without a bundled
+    OpenBLAS this does nothing.
 
     No other thread may be inside a multithreaded OpenBLAS call when the
     outermost pin enters or exits, as OpenBLAS's own set_num_threads and
     fork handler assume too.
     """
-    global _pin_depth
+    global _pin_depth, _pin_saved
     with _pin_lock:
         if _pin_depth == 0:
-            controls = _openblas_thread_controls()
-            _pin_saved[:] = [get_threads() for get_threads, _ in controls]
-            for _, set_threads in controls:
-                set_threads(1)
-            for stop in _openblas_pool_stops():
-                stop()
+            _pin_saved = _set_blas_threads(1)
         _pin_depth += 1
     try:
         yield
     finally:
         with _pin_lock:
             _pin_depth -= 1
-            if _pin_depth == 0:
-                for (_, set_threads), n in zip(_openblas_thread_controls(), _pin_saved):
-                    set_threads(n)
-                for stop in _openblas_pool_stops():
-                    stop()
+            if _pin_depth == 0 and _pin_saved is not None:
+                _set_blas_threads(_pin_saved)
 
 
 @functools.cache
@@ -177,14 +174,13 @@ def gram_normalized(A: np.ndarray) -> np.ndarray:
     (..., M, K). The result is exactly Hermitian PSD with a real
     nonnegative diagonal; its dimension is the column count of A. Dividing
     it by a positive real, such as the antenna count M, keeps it exactly
-    Hermitian. An M x K matrix with M K^2 of at least _HERK_MIN_WORK gets
-    its lower triangle from BLAS's zherk, half the multiply-adds of a full
-    product; a stack, a smaller matrix, or any where no bundled zherk is
-    found, gets it from matmul, which gives each matrix of a stack the bits
-    it gets alone. The two products may differ in the last bit of an entry.
+    Hermitian. A lone complex M x K matrix gets its lower triangle from
+    BLAS's zherk, half the multiply-adds of a full product. A stack gets
+    its Grams from one batched matmul, which gives each matrix the bits
+    matmul gives it alone; so does any matrix where no bundled zherk is
+    found. The two products may differ in the last bit of an entry.
     """
-    tall = A.ndim == 2 and A.dtype == np.complex128 and A.shape[0] * A.shape[1] ** 2 >= _HERK_MIN_WORK
-    herk = _zherk() if tall else None
+    herk = _zherk() if A.ndim == 2 and A.dtype == np.complex128 else None
     if herk is None:
         B = np.matmul(A.conj().swapaxes(-1, -2), A)
     else:

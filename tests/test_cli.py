@@ -15,6 +15,7 @@ import pytest
 
 import mimo_converge
 import mimo_converge.cli as cli
+import mimo_converge.montecarlo as montecarlo
 from mimo_converge.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -637,6 +638,21 @@ class TestRunAllFiguresScript:
         assert [name for name, _, _ in done] == list(PRESETS)
         for _, out, digest in done:
             assert hashlib.sha256(Path(out).read_bytes()).hexdigest() == digest
+
+
+class TestPoolCrossoverScript:
+    def test_one_finite_ratio_per_point_and_the_pool_rule_back(self, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "pool_crossover.py"
+        spec = importlib.util.spec_from_file_location("pool_crossover", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        pool_work = montecarlo._POOL_WORK
+        assert script.main(["--trials", "2", "--repeats", "1"]) == 0
+        assert montecarlo._POOL_WORK == pool_work
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [(kind, int(K)) for kind, K, *_ in rows] == [
+            (kind, K) for kind, (_, grid) in script.KINDS.items() for K in grid]
+        assert all(np.isfinite(float(row[-1])) for row in rows)
 
 
 class TestByteReproducibility:

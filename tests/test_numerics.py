@@ -4,7 +4,10 @@ Ground truth: hand-derived closed forms for small matrices, and the
 eigenvalue decomposition as an independent oracle for traces.
 """
 
+import csv
+import ctypes
 import glob
+import math
 import os
 import subprocess
 import sys
@@ -18,11 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mimo_converge
+import mimo_converge.montecarlo as montecarlo
 import mimo_converge.numerics as numerics
 from mimo_converge.channel import RngStream, sample_gram_factor
+from mimo_converge.cli import EXIT_OK, main
 from mimo_converge.metrics import lambda_ratio
 from mimo_converge.numerics import (
-    _openblas_thread_controls,
     SingularMatrixError,
     gram_normalized,
     inverse_trace,
@@ -102,24 +106,55 @@ def _bundles_scipy_openblas():
     return bool(glob.glob(os.path.join(libs_dir, "*scipy_openblas64_*")))
 
 
+def _openblas_core() -> str | None:
+    """Name of the kernel the bundled OpenBLAS runs on this CPU, None
+    without one."""
+    corename = numerics._openblas_function("scipy_openblas_get_corename64_", [], ctypes.c_char_p)
+    return None if corename is None else corename().decode()
+
+
 class TestGramKernel:
-    """A lone complex M x K matrix with M K^2 of at least _HERK_MIN_WORK
-    gets its Gram from BLAS's zherk, with matmul as the fallback and the
-    reference."""
+    """A lone complex M x K matrix gets its Gram from BLAS's zherk, with
+    matmul as the fallback and the reference; a stack gets its Grams from
+    one batched matmul."""
 
     # fig6/fig7's M x K draws at alpha = 10, fig1's tallest, and shapes
     # whose M is neither at most 128 nor 0 or 7 mod 8
     SHAPES = [(50, 5), (100, 10), (200, 20), (500, 50), (1000, 100), (16384, 10), (16384, 50), (131, 5)]
 
+    # the lone Grams of M K^2 below 1e5 that the presets and golden
+    # scenarios form: fig6 and fig7's, then the correlated golden scenarios'
+    SMALL_SHAPES = [(50, 5), (100, 10), (200, 20), (16, 8), (64, 8), (256, 8), (8, 2), (24, 6)]
+
     @pytest.mark.parametrize("m, k", SHAPES)
     def test_zherk_matches_matmul(self, m, k, monkeypatch):
         A = _random_complex(m, k, seed=m + 3 * k)
-        monkeypatch.setattr(numerics, "_HERK_MIN_WORK", 0)  # zherk at the small shapes too
         W = gram_normalized(A)
         assert np.array_equal(W, W.conj().T) and W.diagonal().imag.max() == 0.0
         monkeypatch.setattr(numerics, "_zherk", lambda: None)
         reference = gram_normalized(A)
         assert np.abs(W - reference).max() <= 4e-16 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("m, k", SMALL_SHAPES)
+    def test_small_shapes_keep_the_bits_of_matmul(self, m, k, monkeypatch):
+        # every such M is at most 128 or 0 mod 8, where zherk and matmul
+        # agree bit for bit on the SkylakeX kernel the golden hashes were
+        # frozen on; another kernel may move an entry by 1 ulp of the largest
+        if numerics._zherk() is None:
+            pytest.skip("no bundled OpenBLAS exports zherk")
+        core = _openblas_core()
+        rng = np.random.default_rng(m * k)
+        for _ in range(50):
+            A = _random_complex(m, k, seed=int(rng.integers(1 << 32))) * rng.uniform(0.1, 3.0, (m, 1))
+            with monkeypatch.context() as patch:
+                patch.setattr(numerics, "_zherk", lambda: None)
+                reference = gram_normalized(A)
+            W = gram_normalized(A)
+            if core == "SkylakeX":
+                assert W.tobytes() == reference.tobytes()
+            else:
+                parts, reference_parts = W.view(np.float64), reference.view(np.float64)
+                assert np.abs(parts - reference_parts).max() <= np.spacing(np.abs(reference_parts).max())
 
     @pytest.mark.parametrize("m, k", [(1, 1), (5, 3), (131, 5), (500, 50), (300, 256)])
     def test_fallback_has_the_bits_of_matmul(self, m, k, monkeypatch):
@@ -132,14 +167,15 @@ class TestGramKernel:
     @pytest.mark.parametrize(
         "shape, herk",
         [
-            ((50, 5), False), ((200, 20), False), ((2000, 7), False), ((1000, 10), True), ((500, 50), True),
+            ((1, 1), True), ((8, 2), True), ((50, 5), True), ((200, 20), True), ((2000, 7), True),
+            ((1000, 10), True), ((500, 50), True),
             # stacks, fig4/fig5's Bartlett factors of K = 50 and 100 among them
             ((6, 40, 40), False), ((3, 50, 50), False), ((2, 1, 100, 100), False), ((5, 1000, 10), False),
         ],
     )
-    def test_zherk_only_from_the_size_threshold(self, shape, herk, monkeypatch):
-        # below M K^2 = _HERK_MIN_WORK the ctypes call costs more than it
-        # saves; a stack keeps its one batched matmul whatever its size
+    def test_zherk_for_a_lone_matrix_matmul_for_a_stack(self, shape, herk, monkeypatch):
+        # a lone matrix takes zherk at every size; a stack keeps its one
+        # batched matmul, which gives each matrix the bits it gets alone
         if herk and numerics._zherk() is None:
             pytest.skip("no bundled OpenBLAS exports zherk")
         calls = []
@@ -149,8 +185,7 @@ class TestGramKernel:
         gram_normalized(_random_complex(int(np.prod(shape[:-1])), k, seed=k).reshape(shape))
         assert len(calls) == int(herk)
 
-    def test_reads_a_matrix_of_any_layout(self, monkeypatch):
-        monkeypatch.setattr(numerics, "_HERK_MIN_WORK", 0)
+    def test_reads_a_matrix_of_any_layout(self):
         A = _random_complex(40, 6, seed=8)
         strided = np.empty((80, 6), dtype=np.complex128)
         strided[::2] = A
@@ -378,47 +413,47 @@ def _os_threads():
     return len(os.listdir("/proc/self/task"))
 
 
+@pytest.fixture
+def controls():
+    """The bundled OpenBLAS's (get, set, stop), its thread count set to 2
+    for the test.
+
+    Restoring the saved count starts a fresh OpenBLAS pool, which would
+    spin beside the later tests: the teardown stops it again."""
+    controls = numerics._thread_controls()
+    if controls is None:
+        pytest.skip("no bundled OpenBLAS found")
+    get_threads, set_threads, stop = controls
+    saved = get_threads()
+    set_threads(2)
+    yield controls
+    set_threads(saved)
+    if stop is not None:
+        stop()
+
+
 class TestSingleThreadedBlas:
-    @pytest.fixture
-    def controls(self):
-        """The bundled OpenBLAS thread controls, all set to 2 for the test.
-
-        Restoring the saved counts starts a fresh OpenBLAS pool, which
-        would spin beside the later tests: the teardown stops it again."""
-        controls = _openblas_thread_controls()
-        if not controls:
-            pytest.skip("no bundled OpenBLAS found")
-        saved = [get_threads() for get_threads, _ in controls]
-        for _, set_threads in controls:
-            set_threads(2)
-        yield controls
-        for (_, set_threads), n in zip(controls, saved):
-            set_threads(n)
-        for stop in numerics._openblas_pool_stops():
-            stop()
-
-    @staticmethod
-    def _counts(controls):
-        return [get_threads() for get_threads, _ in controls]
-
     def test_pinned_inside_and_restored_after(self, controls):
+        get_threads = controls[0]
         with single_threaded_blas():
-            assert self._counts(controls) == [1] * len(controls)
-        assert self._counts(controls) == [2] * len(controls)
+            assert get_threads() == 1
+        assert get_threads() == 2
 
     def test_restored_after_exception(self, controls):
+        get_threads = controls[0]
         with pytest.raises(RuntimeError):
             with single_threaded_blas():
-                assert self._counts(controls) == [1] * len(controls)
+                assert get_threads() == 1
                 raise RuntimeError("trial failed")
-        assert self._counts(controls) == [2] * len(controls)
+        assert get_threads() == 2
 
     def test_nested_exit_keeps_outer_pin(self, controls):
+        get_threads = controls[0]
         with single_threaded_blas():
             with single_threaded_blas():
                 pass
-            assert self._counts(controls) == [1] * len(controls)
-        assert self._counts(controls) == [2] * len(controls)
+            assert get_threads() == 1
+        assert get_threads() == 2
 
     def test_bundled_openblas_provides_blas_thread_shutdown(self):
         # guards the pool stop: a numpy whose OpenBLAS stops exporting the
@@ -426,18 +461,34 @@ class TestSingleThreadedBlas:
         # workers unnoticed
         if not _bundles_scipy_openblas():
             pytest.skip("numpy bundles no scipy_openblas64_ library")
-        assert numerics._openblas_pool_stops()
+        assert numerics._thread_controls()[2] is not None
+
+    def test_numpy_bundles_at_most_one_openblas(self):
+        # the pin binds the first such library only: a second would run unpinned
+        libs_dir = os.path.dirname(np.__file__) + ".libs"
+        if not os.path.isdir(libs_dir):
+            pytest.skip("numpy bundles no libraries")
+        found = []
+        for path in sorted(glob.glob(os.path.join(libs_dir, "*"))):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:  # not a loadable library
+                continue
+            if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+                found.append(os.path.basename(path))
+        assert len(found) <= 1, found
 
     def test_pins_and_restores_without_blas_thread_shutdown(self, controls, monkeypatch):
-        monkeypatch.setattr(numerics, "_openblas_pool_stops", lambda: ())
+        get_threads, set_threads, _ = controls
+        monkeypatch.setattr(numerics, "_thread_controls", lambda: (get_threads, set_threads, None))
         with single_threaded_blas():
-            assert self._counts(controls) == [1] * len(controls)
-        assert self._counts(controls) == [2] * len(controls)
+            assert get_threads() == 1
+        assert get_threads() == 2
 
     def test_openblas_threads_stopped_inside_and_after(self, controls):
         if not os.path.isdir("/proc/self/task"):
             pytest.skip("no /proc/self/task to count the threads in")
-        if not numerics._openblas_pool_stops():
+        if controls[2] is None:
             pytest.skip("no bundled OpenBLAS exports blas_thread_shutdown_")
         a = _random_complex(400, 400, 3).real
         expected = np.dot(a, a)  # on OpenBLAS's own threads, which stay up after it
@@ -445,24 +496,22 @@ class TestSingleThreadedBlas:
         with single_threaded_blas():
             inside = _os_threads()
         assert inside < before
-        assert self._counts(controls) == [2] * len(controls)
+        assert controls[0]() == 2
         assert _os_threads() <= before
         # the next multithreaded call starts the threads again
         np.testing.assert_allclose(a @ a, expected, rtol=1e-13)
 
     def test_overlapping_pins_stop_the_threads_once_per_transition(self, controls, monkeypatch):
-        stops = numerics._openblas_pool_stops()
-        if not stops:
+        get_threads, set_threads, stop = controls
+        if stop is None:
             pytest.skip("no bundled OpenBLAS exports blas_thread_shutdown_")
         calls = []
 
-        def spy(stop):
-            def counted():
-                calls.append(threading.current_thread().name)
-                return stop()
-            return counted
+        def counted():
+            calls.append(threading.current_thread().name)
+            return stop()
 
-        monkeypatch.setattr(numerics, "_openblas_pool_stops", lambda: tuple(spy(stop) for stop in stops))
+        monkeypatch.setattr(numerics, "_thread_controls", lambda: (get_threads, set_threads, counted))
         entered, release = threading.Event(), threading.Event()
 
         def hold_pin():
@@ -473,15 +522,15 @@ class TestSingleThreadedBlas:
         holder = threading.Thread(target=hold_pin, name="holder")
         holder.start()
         assert entered.wait(timeout=30)
-        assert calls == ["holder"] * len(stops)
+        assert calls == ["holder"]
         with single_threaded_blas():
             release.set()
             holder.join(timeout=30)
             assert not holder.is_alive()
-            assert calls == ["holder"] * len(stops)  # neither transition was outermost
-            assert self._counts(controls) == [1] * len(controls)
-        assert calls == ["holder"] * len(stops) + [threading.current_thread().name] * len(stops)
-        assert self._counts(controls) == [2] * len(controls)
+            assert calls == ["holder"]  # neither transition was outermost
+            assert get_threads() == 1
+        assert calls == ["holder", threading.current_thread().name]
+        assert get_threads() == 2
 
     def test_no_spinning_threads_after_a_run(self):
         if not _bundles_scipy_openblas():
@@ -491,10 +540,10 @@ class TestSingleThreadedBlas:
         probe = (
             f"import sys, resource, time; sys.path.insert(0, {src!r}); "
             "from mimo_converge.montecarlo import FIXED_ALPHA, Scenario, run_scenarios; "
-            "from mimo_converge.numerics import _openblas_thread_controls; "
-            "saved = [get() for get, _ in _openblas_thread_controls()]; "
+            "from mimo_converge.numerics import _thread_controls; "
+            "get = _thread_controls()[0]; saved = get(); "
             "run_scenarios([Scenario(mode=FIXED_ALPHA, alpha=10.0, sweep=(5, 32), trials=20)], workers=2); "
-            "assert [get() for get, _ in _openblas_thread_controls()] == saved; "
+            "assert get() == saved; "
             "cpu = lambda: sum(resource.getrusage(resource.RUSAGE_SELF)[:2]); "
             "start = cpu(); time.sleep(0.3); print(cpu() - start)"
         )
@@ -507,9 +556,68 @@ class TestSingleThreadedBlas:
         src = str(Path(mimo_converge.__file__).resolve().parents[1])
         probe = (
             f"import sys; sys.path.insert(0, {src!r}); import mimo_converge; "
-            "from mimo_converge.numerics import _openblas_thread_controls as c, _zherk, _ztrtri; "
-            "assert c.cache_info().currsize == 0; "
+            "from mimo_converge.numerics import _openblas, _thread_controls, _zherk, _ztrtri; "
+            "assert _openblas.cache_info().currsize == 0; "
+            "assert _thread_controls.cache_info().currsize == 0; "
             "assert _zherk.cache_info().currsize == 0; "
             "assert _ztrtri.cache_info().currsize == 0"
         )
         subprocess.run([sys.executable, "-c", probe], check=True, timeout=60)
+
+
+@pytest.fixture
+def no_bundled_openblas(monkeypatch):
+    """The simulator as on a numpy with no bundled OpenBLAS (conda's,
+    macOS's): every binding finds none, so the pin does nothing and numpy's
+    own matmul and general inverse run."""
+    caches = (numerics._thread_controls, numerics._zherk, numerics._ztrtri)
+    monkeypatch.setattr(numerics, "_openblas", lambda: None)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    monkeypatch.undo()
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+class TestWithoutBundledOpenBlas:
+    # a correlated fixed-K sweep under unequal gains, which forms lone M x K
+    # Grams and their Cholesky factors, on the worker pool at M = 1024, and a
+    # Bartlett sweep with every statistic on, which inverts the scaled factor
+    ARGS = {
+        "fixedK-corr-unequal": ["--mode", "fixed-K", "--K", "8", "--M", "16,64,256,1024", "--corr-rho", "0.7",
+                                "--beta-min", "0.1", "--beta-max", "1"],
+        "bartlett-all": ["--mode", "fixed-alpha", "--alpha", "4", "--K", "2,6,20",
+                         "--beta-min", "0.2", "--beta-max", "0.8"],
+    }
+    RTOL = 1e-10  # the cells' tolerance across OpenBLAS kernels
+
+    @pytest.mark.parametrize("name", sorted(ARGS))
+    def test_runs_end_to_end_with_the_bundled_cells(self, name, controls, tmp_path, request):
+        args = [*self.ARGS[name], "--trials", "20", "--seed", "7", "--workers", "2"]
+        assert main([*args, "--output", str(tmp_path / "bundled.csv")]) == EXIT_OK
+        get_threads = controls[0]
+        request.getfixturevalue("no_bundled_openblas")
+        assert numerics._thread_controls() is None and numerics._zherk() is None and numerics._ztrtri() is None
+        threads = []
+        gram = montecarlo.gram_normalized
+
+        def counted_gram(A):
+            threads.append(get_threads())
+            return gram(A)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "gram_normalized", counted_gram)
+            assert main([*args, "--output", str(tmp_path / "none.csv")]) == EXIT_OK
+        assert set(threads) == {2} and get_threads() == 2  # never pinned
+        bundled, none = _read_csv(tmp_path / "bundled.csv"), _read_csv(tmp_path / "none.csv")
+        assert len(bundled) == len(none) and bundled[0] == none[0]
+        for a_row, b_row in zip(bundled[1:], none[1:]):
+            assert len(a_row) == len(b_row)
+            for a, b in zip(a_row, b_row):  # a text cell that differs raises in float()
+                assert a == b or math.isclose(float(a), float(b), rel_tol=self.RTOL, abs_tol=0.0), (a, b)
