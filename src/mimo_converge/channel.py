@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import strict_upper
+
 
 _PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
 
@@ -173,15 +175,6 @@ def exp_correlation_eigenvalues(Ms: Sequence[int], r: float) -> list[np.ndarray]
 
 
 @functools.cache
-def _upper_flat_indices(K: int) -> np.ndarray:
-    """Flat indices of the strictly upper triangle of a K x K matrix."""
-    rows, cols = np.triu_indices(K, 1)
-    flat = rows * K + cols
-    flat.flags.writeable = False  # shared by every call with this K
-    return flat
-
-
-@functools.cache
 def _gamma_shapes(M: int, K: int) -> np.ndarray:
     """Shapes M, M - 1, ..., M - K + 1 of the Bartlett factor's squared
     diagonal, as the float64 array that Generator.standard_gamma reads."""
@@ -208,11 +201,10 @@ def sample_gram_factor(M: int, K: int, rng: RngStream, out: np.ndarray | None = 
     """
     g = rng.generator()
     R = np.zeros((K, K), dtype=np.complex128) if out is None else out
-    flat = R.reshape(-1)
-    flat.real[:: K + 1] = np.sqrt(g.standard_gamma(_gamma_shapes(M, K)))
-    upper = _upper_flat_indices(K)
-    parts = g.standard_normal((2, upper.size))
-    parts *= 1.0 / np.sqrt(2.0)
-    flat.real[upper] = parts[0]
-    flat.imag[upper] = parts[1]
+    R.reshape(-1).real[:: K + 1] = np.sqrt(g.standard_gamma(_gamma_shapes(M, K)))
+    parts = g.standard_normal((2, K * (K - 1) // 2))
+    parts *= row_scale()
+    upper = strict_upper(K)  # row by row, the order the normals are drawn in
+    R.real[upper] = parts[0]
+    R.imag[upper] = parts[1]
     return R

@@ -1,13 +1,16 @@
 """Command-line front end: configuration, sweep execution, CSV/JSON output.
 
-Precedence for every setting: command-line flag, then config-file value,
-then preset value, then built-in default. The seed's built-in default can
-additionally be supplied through the MIMO_CONVERGE_SEED environment
-variable. Output files are byte-identical across runs with the same
-configuration and seed, with any worker count and any host BLAS thread
-count: the sweep pins the OpenBLAS bundled with numpy, the only BLAS the
-simulator calls, to one thread, so --workers is the only parallelism. With
-a BLAS that cannot be pinned, the bytes may depend on its thread count.
+Each setting is read from its command-line flag, else its config-file
+value, else its built-in default. A preset, given by flag or in the file,
+sets every other key itself: beside it only seed, trials, workers and the
+output settings may be given, and any other key, from a flag or the file,
+is a configuration error. The seed's built-in default can additionally be
+supplied through the MIMO_CONVERGE_SEED environment variable. Output files
+are byte-identical across runs with the same configuration and seed, with
+any worker count and any host BLAS thread count: the sweep pins the
+OpenBLAS bundled with numpy, the only BLAS the simulator calls, to one
+thread, so --workers is the only parallelism. With a BLAS that cannot be
+pinned, the bytes may depend on its thread count.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O error.
@@ -201,7 +204,7 @@ def parse_config(argv=None) -> RunConfig:
             if opt:  # a preset sets every key not popped above
                 raise ConfigError(
                     f"--preset {preset} already determines {', '.join(sorted(opt))}; "
-                    "only seed, trials and output settings may be overridden"
+                    "only seed, trials, workers and output settings may be given beside it"
                 )
             scenarios = build_preset(preset, seed=seed, trials=trials)
         else:

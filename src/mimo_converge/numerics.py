@@ -2,7 +2,9 @@
 
 All routines take and return plain numpy arrays (complex128 or float64).
 Hermitian outputs are exactly Hermitian: entry (i, j) equals the conjugate
-of entry (j, i) bit for bit, and the diagonal is real.
+of entry (j, i) bit for bit, and the diagonal is real. A Gram gets there
+from its lower triangle alone, whose conjugate is copied into its strict
+upper triangle.
 """
 
 from __future__ import annotations
@@ -160,9 +162,11 @@ def single_threaded_blas():
 
 
 @functools.cache
-def _upper_and_diagonal(K: int) -> np.ndarray:
-    """Mask of the upper triangle of a K x K matrix, its diagonal included."""
-    mask = ~np.tri(K, K, -1, dtype=bool)
+def strict_upper(K: int) -> np.ndarray:
+    """Mask of the strict upper triangle of a K x K matrix. Assignment
+    through it writes the entries row by row, in the order of
+    np.triu_indices(K, 1)."""
+    mask = np.triu(np.ones((K, K), dtype=bool), 1)
     mask.flags.writeable = False  # shared by every call with this K
     return mask
 
@@ -179,27 +183,19 @@ def gram_normalized(A: np.ndarray) -> np.ndarray:
     its Grams from one batched matmul, which gives each matrix the bits
     matmul gives it alone; so does any matrix where no bundled zherk is
     found. The two products may differ in the last bit of an entry.
+    Either fills the lower triangle, and its conjugate is copied into the
+    strict upper triangle: the bits of low + conj(low).T + diag(B.real),
+    with low = tril(B, -1) and no negative zero left.
     """
     herk = _zherk() if A.ndim == 2 and A.dtype == np.complex128 else None
     if herk is None:
         B = np.matmul(A.conj().swapaxes(-1, -2), A)
     else:
         B = _herk_lower(herk, np.ascontiguousarray(A))
-    # Rebuild B from its strict lower triangle so Hermitian symmetry is exact,
-    # in place and one real part at a time: the bits of low + conj(low.T) +
-    # diag(B.real) with low = tril(B, -1), where x - y is x + (-y) exactly.
-    # Only a lower imaginary part can still be a negative zero after the
-    # first sum, and the added diagonal matrix turns it positive; so does
-    # adding 0.0 first.
     K = B.shape[-1]
-    diagonal = np.diagonal(B, axis1=-2, axis2=-1).real.copy()
-    np.copyto(B, 0, where=_upper_and_diagonal(K))
-    real = B.real
-    real += real.swapaxes(-1, -2)
-    imag = B.imag
-    imag += 0.0
-    imag -= imag.swapaxes(-1, -2)
-    B.reshape(*B.shape[:-2], K * K).real[..., :: K + 1] += diagonal
+    np.copyto(B, B.conj().swapaxes(-1, -2), where=strict_upper(K))
+    B.reshape(*B.shape[:-2], K * K).imag[..., :: K + 1] = 0.0
+    B += 0.0  # a negative zero turns positive, as in that sum
     return B
 
 

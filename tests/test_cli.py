@@ -206,6 +206,19 @@ class TestConfigFile:
         assert config.preset == "fig4"
         assert config.scenarios[0].trials == 11
 
+    def test_file_key_a_preset_sets_is_refused(self, tmp_path):
+        # the preset's keys are refused from the file as from the flags,
+        # whichever of the two names the preset
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preset = fig4\nalpha = 5\n")
+        with pytest.raises(ConfigError, match="already determines alpha;"):
+            parse_config(["--config", str(cfg)])
+        assert main(["--config", str(cfg), "--output", str(tmp_path / "out.csv")]) == EXIT_CONFIG
+        cfg.write_text("alpha = 5\n")
+        with pytest.raises(ConfigError, match="already determines alpha;"):
+            parse_config(["--config", str(cfg), "--preset", "fig4"])
+        assert not (tmp_path / "out.csv").exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("modes = fixed-K\n")

@@ -82,6 +82,8 @@ class TestGramNormalized:
         imag_zero = A.real - 0j
         for X in (A, imag_zero, -0.0 * A):
             assert gram_normalized(X).tobytes() == reference(X).tobytes()
+        stack = np.stack([A, imag_zero, -0.0 * A])
+        assert [W.tobytes() for W in gram_normalized(stack)] == [reference(X).tobytes() for X in stack]
 
     @pytest.mark.parametrize("m, k", [(1, 1), (5, 3), (10, 10), (100, 10), (300, 256)])
     def test_stack_gets_the_bits_of_each_matrix(self, m, k, monkeypatch):
@@ -184,6 +186,28 @@ class TestGramKernel:
         k = shape[-1]
         gram_normalized(_random_complex(int(np.prod(shape[:-1])), k, seed=k).reshape(shape))
         assert len(calls) == int(herk)
+
+    @pytest.mark.parametrize("m, k", [(2, 2), (5, 3), (50, 5), (300, 256)])
+    def test_unwritten_upper_triangle_is_never_read(self, m, k, monkeypatch):
+        # whatever zherk leaves above the diagonal, even a quiet or a
+        # signalling NaN, the Gram is built from its lower triangle alone;
+        # warnings are errors, so an invalid operation on those values fails
+        if numerics._zherk() is None:
+            pytest.skip("no bundled OpenBLAS exports zherk")
+        A = _random_complex(m, k, seed=m + k)
+        clean = gram_normalized(A)
+        herk_lower = numerics._herk_lower
+        for bits in (np.float64(np.nan).view(np.uint64), np.uint64(0x7FF0000000000001)):
+
+            def poisoned(*args, bits=bits):
+                B = herk_lower(*args)
+                B.view(np.uint64).reshape(k, k, 2)[numerics.strict_upper(k)] = bits
+                return B
+
+            monkeypatch.setattr(numerics, "_herk_lower", poisoned)
+            W = gram_normalized(A)
+            assert np.isfinite(W).all() and np.array_equal(W, W.conj().T)
+            assert W.tobytes() == clean.tobytes()
 
     def test_reads_a_matrix_of_any_layout(self):
         A = _random_complex(40, 6, seed=8)
