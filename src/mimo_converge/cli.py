@@ -203,7 +203,7 @@ def parse_config(argv=None) -> RunConfig:
         if preset is not None:
             if opt:  # a preset sets every key not popped above
                 raise ConfigError(
-                    f"--preset {preset} already determines {', '.join(sorted(opt))}; "
+                    f"{'--' * ('preset' in flag_opt)}preset {preset} already determines {', '.join(sorted(opt))}; "
                     "only seed, trials, workers and output settings may be given beside it"
                 )
             scenarios = build_preset(preset, seed=seed, trials=trials)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from threading import Thread
 
 import numpy as np
 
@@ -366,15 +366,14 @@ def _schedule(M: int, K: int, T: int, workers: int, bartlett: bool, metrics: boo
     return n, chunk(n)
 
 
-def _run_group(
-    shares: list[_Share], seed: int, T: int, bartlett: bool,
-    states: list[RngStream], pool: ThreadPoolExecutor,
-) -> None:
+def _run_group(shares: list[_Share], seed: int, T: int, bartlett: bool, states: list[RngStream]) -> None:
     """Run the T trials of one group point, each drawn once for all shares.
 
     Trial t is drawn on stream t. _schedule picks n workers and the stack
-    size, and worker w takes every n-th stack from the w-th on. bartlett is
-    the draw kind of the shares' plans. A Bartlett group has one share: a
+    size, and worker w takes every n-th stack from the w-th on: worker 0 on
+    the calling thread, the others on worker threads that it joins, raising
+    the error of the lowest-numbered worker that failed. bartlett is the
+    draw kind of the shares' plans. A Bartlett group has one share: a
     stack of its factors is drawn into one array, which the share scales by
     its gains in place and ZF inverts in place, and all Grams of the stack
     come from one call. An M x K draw fills two buffers of the worker's own
@@ -431,10 +430,22 @@ def _run_group(
                             share.write(one, *fill([share], one, stream_offset=T)[0])
             del stack  # free the Grams before the next stack is drawn
 
-    if workers == 1:
-        run_worker(0)
-    else:
-        list(pool.map(run_worker, range(workers)))
+    errors: dict[int, BaseException] = {}
+
+    def run_caught(w: int) -> None:
+        try:
+            run_worker(w)
+        except BaseException as exc:  # KeyboardInterrupt too: raised after the join
+            errors[w] = exc
+
+    threads = [Thread(target=run_caught, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run_caught(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def _plan(scenario: Scenario) -> list[tuple[int, int, bool, np.ndarray | None, dict[str, float]]]:
@@ -493,10 +504,10 @@ def run_scenarios(scenarios: list[Scenario], workers: int = 1) -> list[SweepResu
     # A point runs no more workers than it has trials.
     workers = min(workers, max((s.trials for s in scenarios), default=1))
     states = [RngStream(0) for _ in range(workers)]
-    with single_threaded_blas(), ThreadPoolExecutor(max_workers=len(states)) as pool:
+    with single_threaded_blas():
         for (M, K, seed, T, bartlett, _), members in groups.items():
             shares = [_Share(scenarios[i], *plans[i][j]) for i, j in members]
-            _run_group(shares, seed, T, bartlett, states, pool)
+            _run_group(shares, seed, T, bartlett, states)
             for (i, j), share in zip(members, shares):
                 points[i][j] = share.point()
     return [SweepResult(scenario=s, points=p) for s, p in zip(scenarios, points)]

@@ -174,24 +174,22 @@ def strict_upper(K: int) -> np.ndarray:
 def gram_normalized(A: np.ndarray) -> np.ndarray:
     """Gram matrix conj(A).T @ A, normalized to an exactly Hermitian form.
 
-    One Gram per matrix of A, a complex M x K matrix or a stack of shape
-    (..., M, K). The result is exactly Hermitian PSD with a real
-    nonnegative diagonal; its dimension is the column count of A. Dividing
-    it by a positive real, such as the antenna count M, keeps it exactly
-    Hermitian. A lone complex M x K matrix gets its lower triangle from
-    BLAS's zherk, half the multiply-adds of a full product. A stack gets
-    its Grams from one batched matmul, which gives each matrix the bits
-    matmul gives it alone; so does any matrix where no bundled zherk is
-    found. The two products may differ in the last bit of an entry.
-    Either fills the lower triangle, and its conjugate is copied into the
-    strict upper triangle: the bits of low + conj(low).T + diag(B.real),
-    with low = tril(B, -1) and no negative zero left.
+    One Gram per matrix of A, an M x K matrix or a stack of shape
+    (..., M, K), taken as C-ordered complex128. The result is exactly
+    Hermitian PSD with a real nonnegative diagonal; its dimension is the
+    column count of A. Dividing it by a positive real, such as the antenna
+    count M, keeps it exactly Hermitian. A lone M x K matrix gets its lower
+    triangle from BLAS's zherk, half the multiply-adds of a full product.
+    A stack gets its Grams from one batched matmul, which gives each matrix
+    the bits matmul gives it alone; so does any matrix where no bundled
+    zherk is found. The two products may differ in the last bit of an
+    entry. Either fills the lower triangle, and its conjugate is copied
+    into the strict upper triangle: the bits of low + conj(low).T +
+    diag(B.real), with low = tril(B, -1) and no negative zero left.
     """
-    herk = _zherk() if A.ndim == 2 and A.dtype == np.complex128 else None
-    if herk is None:
-        B = np.matmul(A.conj().swapaxes(-1, -2), A)
-    else:
-        B = _herk_lower(herk, np.ascontiguousarray(A))
+    A = np.ascontiguousarray(A, dtype=np.complex128)
+    herk = _zherk() if A.ndim == 2 else None
+    B = np.matmul(A.conj().swapaxes(-1, -2), A) if herk is None else _herk_lower(herk, A)
     K = B.shape[-1]
     np.copyto(B, B.conj().swapaxes(-1, -2), where=strict_upper(K))
     B.reshape(*B.shape[:-2], K * K).imag[..., :: K + 1] = 0.0

@@ -219,6 +219,15 @@ class TestConfigFile:
             parse_config(["--config", str(cfg), "--preset", "fig4"])
         assert not (tmp_path / "out.csv").exists()
 
+    def test_refusal_names_the_preset_as_given(self, tmp_path):
+        # the file's key, not a flag that was never given; a flag overrides the file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preset = fig4\nalpha = 5\n")
+        with pytest.raises(ConfigError, match="^preset fig4 already determines alpha;"):
+            parse_config(["--config", str(cfg)])
+        with pytest.raises(ConfigError, match="^--preset fig5 already determines alpha;"):
+            parse_config(["--config", str(cfg), "--preset", "fig5"])
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("modes = fixed-K\n")

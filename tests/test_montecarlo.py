@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mimo_converge.cli as cli
 import mimo_converge.montecarlo as mc
 from mimo_converge.channel import (
     CorrelationSpec,
@@ -682,14 +683,74 @@ SCHEDULE_RUNS = {
 }
 
 
-class _SpyPool(mc.ThreadPoolExecutor):
-    """The harness's pool, counting the points it is handed."""
+class _SpyThread(mc.Thread):
+    """The harness's worker thread, named after the worker it runs, counting
+    the points that start worker threads: each such point starts worker 1
+    once."""
 
-    maps = 0
+    points = 0
 
-    def map(self, *args, **kwargs):
-        type(self).maps += 1
-        return super().map(*args, **kwargs)
+    def __init__(self, *, target, args):
+        super().__init__(target=target, args=args, name=f"worker {args[0]}")
+        if args == (1,):
+            type(self).points += 1
+
+
+class TestWorkerErrors:
+    """An error on any worker of a point on worker threads leaves the run on
+    the calling thread, after every worker thread has ended; no exception
+    reaches threading.excepthook, whose warning the suite turns into an
+    error."""
+
+    # fig5's K = 50 point: worker threads at 2 and at 3 workers
+    SCENARIO = Scenario(**{**_FIG5_POINTS, "trials": 60}, sweep=(50,))
+
+    @staticmethod
+    def fail_on(monkeypatch, failing, error=SingularMatrixError):
+        """Every write of the workers in failing raises error, so each
+        degenerate trial stays degenerate after its retry; worker 0 runs on
+        the calling thread."""
+        caller, original = threading.current_thread(), mc._Share.write
+
+        def write(self, *args):
+            thread = threading.current_thread()
+            name = "worker 0" if thread is caller else thread.name
+            if int(name.split()[1]) in failing:
+                raise error(f"on {name}")
+            return original(self, *args)
+
+        monkeypatch.setattr(mc._Share, "write", write)
+        monkeypatch.setattr(_SpyThread, "points", 0)
+        monkeypatch.setattr(mc, "Thread", _SpyThread)
+
+    @pytest.mark.parametrize("workers, failing, raised", [
+        (2, {1}, 1), (2, {0}, 0), (3, {2}, 2), (3, {1, 2}, 1), (3, {0, 1, 2}, 0),
+    ])
+    def test_lowest_failing_worker_raises_after_the_join(self, workers, failing, raised, monkeypatch):
+        self.fail_on(monkeypatch, failing)
+        before = threading.active_count()
+        with pytest.raises(SingularMatrixError, match=f"^on worker {raised}$"):
+            run_scenarios([self.SCENARIO], workers=workers)
+        assert threading.active_count() == before and _SpyThread.points == 1
+
+    def test_interrupt_on_worker_0_leaves_after_the_join(self, monkeypatch):
+        self.fail_on(monkeypatch, {0}, KeyboardInterrupt)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt, match="^on worker 0$"):
+            run_scenarios([self.SCENARIO], workers=2)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_cli_exits_numerical(self, failing, tmp_path, monkeypatch, capsys):
+        self.fail_on(monkeypatch, {failing})
+        before = threading.active_count()
+        output = tmp_path / "out.csv"
+        code = cli.main(["--mode", "fixed-alpha", "--alpha", "10", "--K", "50", "--beta-min", "0.1",
+                         "--beta-max", "1", "--stats", "zf,mf", "--trials", "60", "--workers", "2",
+                         "--output", str(output)])
+        assert code == cli.EXIT_NUMERICAL
+        assert f"on worker {failing}" in capsys.readouterr().err
+        assert threading.active_count() == before and _SpyThread.points == 1 and not output.exists()
 
 
 class TestSchedule:
@@ -747,22 +808,22 @@ class TestSchedule:
     def test_pool_rule(self, M, K, T, workers, bartlett, metrics, expected):
         assert mc._schedule(M, K, T, workers, bartlett, metrics)[0] == expected
 
-    @pytest.mark.parametrize("K, maps", [(5, 0), (50, 1), (100, 1)])
-    def test_small_bartlett_point_never_reaches_the_pool(self, K, maps, monkeypatch):
-        monkeypatch.setattr(_SpyPool, "maps", 0)
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", _SpyPool)
+    @pytest.mark.parametrize("K, points", [(5, 0), (50, 1), (100, 1)])
+    def test_small_bartlett_point_never_reaches_the_pool(self, K, points, monkeypatch):
+        monkeypatch.setattr(_SpyThread, "points", 0)
+        monkeypatch.setattr(mc, "Thread", _SpyThread)
         run_scenario(Scenario(**{**_FIG5_POINTS, "trials": 60}, sweep=(K,)), workers=2)
-        assert _SpyPool.maps == maps
+        assert _SpyThread.points == points
 
     @pytest.mark.parametrize("run", sorted(SCHEDULE_RUNS))
     def test_bytes_independent_of_workers(self, run, monkeypatch):
         scenarios = SCHEDULE_RUNS[run]
         one = run_scenarios(scenarios, workers=1)
-        monkeypatch.setattr(_SpyPool, "maps", 0)
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", _SpyPool)
+        monkeypatch.setattr(_SpyThread, "points", 0)
+        monkeypatch.setattr(mc, "Thread", _SpyThread)
         for workers in (2, 3):
             assert run_scenarios(scenarios, workers=workers) == one
-        assert _SpyPool.maps == 2  # the larger point of each run, at 2 and 3 workers
+        assert _SpyThread.points == 2  # the larger point of each run, at 2 and 3 workers
         monkeypatch.setattr(mc, "_STACK_BYTES", 1)
         assert run_scenarios(scenarios, workers=2) == one
 

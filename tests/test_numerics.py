@@ -216,6 +216,16 @@ class TestGramKernel:
         for X in (np.asfortranarray(A), strided[::2]):
             assert gram_normalized(X).tobytes() == gram_normalized(A).tobytes()
 
+    @pytest.mark.parametrize("herk", [True, False])
+    @pytest.mark.parametrize("shape", [(4, 2), (50, 5), (3, 20, 4)])
+    def test_real_matrix_gets_the_gram_of_its_complex_cast(self, shape, herk, monkeypatch):
+        if not herk:
+            monkeypatch.setattr(numerics, "_zherk", lambda: None)
+        A = np.ones(shape) if shape == (4, 2) else np.random.default_rng(3).standard_normal(shape)
+        W = gram_normalized(A)
+        assert W.dtype == np.complex128 and np.array_equal(W, W.conj().swapaxes(-1, -2))
+        assert W.tobytes() == gram_normalized(A.astype(np.complex128)).tobytes()
+
     def test_bundled_openblas_provides_zherk(self):
         # guards the fast path: a numpy whose OpenBLAS stops exporting the
         # symbol would otherwise put the Gram back on matmul unnoticed
@@ -588,6 +598,17 @@ class TestSingleThreadedBlas:
         )
         subprocess.run([sys.executable, "-c", probe], check=True, timeout=60)
 
+
+    def test_import_loads_no_executor_or_logging(self):
+        # the worker threads are plain threads; concurrent.futures would
+        # bring logging, traceback, string and queue with it
+        src = str(Path(mimo_converge.__file__).resolve().parents[1])
+        probe = (
+            f"import sys; sys.path.insert(0, {src!r}); import mimo_converge.cli; "
+            "loaded = {'concurrent.futures', 'logging'} & set(sys.modules); "
+            "assert not loaded, loaded"
+        )
+        subprocess.run([sys.executable, "-c", probe], check=True, timeout=60)
 
 @pytest.fixture
 def no_bundled_openblas(monkeypatch):
